@@ -148,19 +148,16 @@ def _bids_array(instance: AuctionInstance, bids) -> np.ndarray:
 
 
 def weight_sums(instance: AuctionInstance, bids) -> tuple[np.ndarray, float]:
-    """Per-bidder weights and their total sigma.
+    """Per-bidder weights and their total sigma (a plain float sum).
 
-    sigma minus one entry of the returned array is the opposing weight a
-    solver inner loop needs, so a full sweep stays O(n) rather than O(n^2).
+    ``sigma - w[i]`` is only an approximation of bidder i's opposing weight:
+    it cancels catastrophically when bidder i carries nearly all the weight.
+    The solver never subtracts; it reads opposing weights off an exact
+    running sum instead.
     """
     arr = _bids_array(instance, bids)
     w = instance.weight.value(arr)
     return w, float(np.sum(w))
-
-
-def aggregate_weight(instance: AuctionInstance, bids) -> float:
-    """sigma = sum_j w(b_j)."""
-    return weight_sums(instance, bids)[1]
 
 
 def allocation_probabilities(instance: AuctionInstance, bids) -> np.ndarray:

@@ -13,6 +13,14 @@ independent one-dimensional maximizer, is at most the configured tolerance.
 The gap computation uses factored utility-difference formulas rather than
 u(new) - u(old); the naive difference loses everything to cancellation
 once the gap drops below ~1e-12 times the utility scale.
+
+Each pass over the bidders (a certificate or a best-response sweep) costs
+O(n) and is exact: one Shewchuk expansion holds the total weight without
+rounding error, and each bidder's opposing weight is read off it as the
+correctly rounded sum of everyone else's weight, the same float that
+``math.fsum`` over the others gives.  Subtracting from a rounded total
+instead would cancel catastrophically when one bidder carries nearly all
+the weight.
 """
 
 from __future__ import annotations
@@ -100,11 +108,11 @@ class SolverConfig:
 class EquilibriumResult:
     """A solver's output: a certified point plus bookkeeping.
 
-    ``epsilon`` is recomputed on ``bids`` right before returning, never a
-    stale mid-run estimate, and ``converged`` is exactly
-    ``epsilon <= tolerance``.  ``average_bids`` is the running mean of the
-    iterates; ``bids`` is whichever certified point (an iterate or that
-    mean) achieved the smallest gap.
+    ``epsilon`` is the certificate of exactly ``bids``: the best-response
+    gap computed on that point, never an estimate from the trajectory, and
+    ``converged`` is exactly ``epsilon <= tolerance``.  ``average_bids`` is
+    the running mean of the iterates; ``bids`` is whichever certified point
+    (an iterate or that mean) achieved the smallest gap.
     """
 
     bids: BidVector
@@ -241,15 +249,76 @@ def _best_response_scalar(game: _Game, i: int, sig_minus: float, tol: float) -> 
     return _polish(lambda b: _gradient_masked(game, i, b, sig_minus), lo, hi)
 
 
-def _sig_minus_exact(w: Sequence[float], i: int) -> float:
-    return math.fsum(w[j] for j in range(len(w)) if j != i)
+# Below this magnitude no partial sum of nonnegative weights can overflow,
+# so the expansion and every fsum over a subset of the weights stay exact.
+_EXACT_LIMIT = 2.0**1023
+
+
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to a Shewchuk expansion in place, without rounding error."""
+    k = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[k] = lo
+            k += 1
+        x = hi
+    partials[k:] = [x]
+
+
+class _WeightTotal:
+    """The weights of one pass and their exact total.
+
+    ``partials`` is a Shewchuk expansion (Adaptive precision floating-point
+    arithmetic, DCG 18, 1997): nonoverlapping floats of increasing magnitude
+    whose exact sum is ``sum(w)``.  Its length is bounded by the float
+    exponent range, not by n, so an exclusion sum costs O(1) in n.
+    ``math.fsum`` rounds the exact sum of its inputs correctly, so
+    ``fsum(partials + [-w[i]])`` is bit for bit ``fsum`` over every weight
+    but ``w[i]``.  A total past ``_EXACT_LIMIT`` could overflow, so then the
+    pass sums the others directly, as fsum would.
+    """
+
+    __slots__ = ("w", "partials")
+
+    def __init__(self, w: list[float]) -> None:
+        self.w = w
+        partials: list[float] = []
+        for x in w:
+            _grow(partials, x)
+        self.partials = partials if abs(partials[-1]) < _EXACT_LIMIT else None
+
+    def others(self, i: int) -> float:
+        """The correctly rounded sum of every weight but ``w[i]``."""
+        partials = self.partials
+        if partials is None:
+            return math.fsum(self.w[:i] + self.w[i + 1 :])
+        return math.fsum(partials + [-self.w[i]])
+
+    def replace(self, i: int, x: float) -> None:
+        """Set ``w[i] = x``, keeping the total exact."""
+        partials = self.partials
+        if partials is not None:
+            _grow(partials, -self.w[i])
+            _grow(partials, x)
+            if not abs(partials[-1]) < _EXACT_LIMIT:
+                self.partials = None
+        self.w[i] = x
 
 
 def _gap_scalar(game: _Game, bids: Sequence[float], tol: float) -> float:
-    w = [game.wf(b) for b in bids]
+    total = _WeightTotal([game.wf(b) for b in bids])
+    values = game.values
     gap = 0.0
     for i in range(len(bids)):
-        sig_minus = _sig_minus_exact(w, i)
+        if i and values[i] == values[i - 1] and bids[i] == bids[i - 1]:
+            # Values are sorted, so ties sit together; an equal (value, bid)
+            # pair has the same opposing weight, best response and gain.
+            continue
+        sig_minus = total.others(i)
         if sig_minus <= 0.0:
             raise DegenerateProfileError(
                 "opposing bids carry zero weight; best-response gap undefined"
@@ -273,7 +342,9 @@ def best_response(
 ) -> float:
     """Argmax of bidder i's utility over [0, v_i], the other bids held fixed.
 
-    Position i of ``bids`` is ignored.  Uses the exact winners-pay
+    Position i of ``bids`` is ignored.  The opposing weight is computed
+    exactly as the certificate computes it, so this is the response that
+    :func:`best_response_gap` measures against.  Uses the exact winners-pay
     proportional formula when it applies; otherwise golden-section search
     (leftmost on ties) down to an interval of width ``tol``, then gradient
     bisection inside that interval, so the returned point is accurate to
@@ -283,13 +354,14 @@ def best_response(
         raise DomainError(f"bidder index {i} out of range for n={instance.n}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    w, _ = mechanism.weight_sums(instance, bids)
-    sig_minus = _sig_minus_exact(list(w), i)
+    game = _Game(instance)
+    seq = mechanism._bids_array(instance, bids).tolist()
+    sig_minus = _WeightTotal([game.wf(b) for b in seq]).others(i)
     if sig_minus <= 0.0:
         raise DegenerateProfileError(
             "opposing bids carry zero weight; best response undefined"
         )
-    return _best_response_scalar(_Game(instance), i, sig_minus, tol)
+    return _best_response_scalar(game, i, sig_minus, tol)
 
 
 def best_response_gap(
@@ -302,9 +374,7 @@ def best_response_gap(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    arr = mechanism.weight_sums(instance, bids)  # validates shape/finiteness
-    del arr
-    seq = [float(b) for b in (bids.bids if isinstance(bids, BidVector) else bids)]
+    seq = mechanism._bids_array(instance, bids).tolist()
     return _gap_scalar(_Game(instance), seq, tol)
 
 
@@ -335,11 +405,22 @@ class _Tracker:
         self.gap = math.inf
         self.point: list[float] | None = None
 
-    def certify(self, point: list[float]) -> float:
+    def _certify(self, point: list[float]) -> float:
         gap = _gap_scalar(self.game, point, _ORACLE_TOL)
         if gap < self.gap:
             self.gap = gap
             self.point = list(point)
+        return gap
+
+    def certify(self, point: list[float], avg: list[float]) -> float:
+        """The smaller gap of the iterate and the running mean.
+
+        The mean is certified only when it differs from the iterate, as it
+        does not after the first step.
+        """
+        gap = self._certify(point)
+        if avg != point:
+            gap = min(gap, self._certify(avg))
         return gap
 
 
@@ -351,8 +432,11 @@ def _finish(
     iterations: int,
     method: Method,
 ) -> EquilibriumResult:
-    point = tracker.point if tracker.point is not None else list(avg)
-    epsilon = _gap_scalar(_Game(instance), point, _ORACLE_TOL)
+    if tracker.point is not None:
+        point, epsilon = tracker.point, tracker.gap
+    else:
+        point = list(avg)
+        epsilon = _gap_scalar(tracker.game, point, _ORACLE_TOL)
     bids = BidVector(tuple(point))
     return EquilibriumResult(
         bids=bids,
@@ -416,8 +500,7 @@ def giga_solve(
             avg[i] += (b[i] - avg[i]) * inv_t
         iterations = t
         if t % config.certify_every == 0 or t == config.max_iterations:
-            gap = min(tracker.certify(b), tracker.certify(avg))
-            if gap <= config.tolerance:
+            if tracker.certify(b, avg) <= config.tolerance:
                 break
     return _finish(instance, config, tracker, avg, iterations, Method.GIGA)
 
@@ -447,8 +530,8 @@ def best_response_iteration(
     gap, eta halves and the iterate restarts from the best point seen.
     Blocks lengthen as eta shrinks so that a stable eta always gets enough
     sweeps to prove itself.  A sweep costs about as much as a certificate,
-    so both the iterate and the running average are certified after every
-    sweep regardless of ``certify_every``.
+    so the iterate and, where it differs, the running average are certified
+    after every sweep regardless of ``certify_every``.
 
     Full steps clamp at the bid floor; that keeps a transient where every
     best response hits zero at once from zeroing the whole profile.  Damped
@@ -470,9 +553,9 @@ def best_response_iteration(
     block_end = _block_sweeps(eta)
     prev_best = math.inf
     for sweep in range(1, config.max_iterations + 1):
-        w = [game.wf(x) for x in b]
+        total = _WeightTotal([game.wf(x) for x in b])
         for i in range(n):
-            sig_minus = _sig_minus_exact(w, i)
+            sig_minus = total.others(i)
             if sig_minus <= 0.0:
                 raise DegenerateProfileError(
                     "opposing bids carry zero weight during a sweep"
@@ -483,13 +566,12 @@ def best_response_iteration(
             else:
                 moved, lo = b[i] + eta * (br - b[i]), 1e-300
             b[i] = moved if moved >= lo else lo
-            w[i] = game.wf(b[i])
+            total.replace(i, game.wf(b[i]))
         inv_t = 1.0 / sweep
         for i in range(n):
             avg[i] += (b[i] - avg[i]) * inv_t
         iterations = sweep
-        gap = min(tracker.certify(b), tracker.certify(avg))
-        if gap <= config.tolerance:
+        if tracker.certify(b, avg) <= config.tolerance:
             break
         if sweep == block_end:
             if tracker.gap > prev_best * (1.0 - 1e-6) and eta > _ETA_MIN:

@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, spec files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,32 @@ def test_sweep_stdout_starts_with_header(capsys):
     assert code == 0
     assert out.splitlines()[0] == CSV_HEADER
     assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("rule", ["all_pay", "winners_pay"])
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys, rule):
+    # The golden files were written by this exact command; any change to
+    # the solvers' arithmetic shows up here as a byte difference.
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        "sweep",
+        "--rule",
+        rule,
+        "--weights",
+        "power:1,power:0.5,power:0.25,log1p",
+        "--alpha-start",
+        "1",
+        "--alpha-stop",
+        "1e4",
+        "--alpha-points",
+        "6",
+        "--output",
+        str(out),
+    )
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"sweep_{rule}.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_sweep_spec_file(tmp_path, capsys):

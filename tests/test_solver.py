@@ -7,9 +7,13 @@ family at tighter tolerances than asserted here.
 
 import math
 import random
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpauction.errors import DegenerateProfileError, DomainError
 from qpauction.mechanism import AuctionInstance, BidVector
@@ -17,6 +21,10 @@ from qpauction.solver import (
     EquilibriumResult,
     Method,
     SolverConfig,
+    _best_response_scalar,
+    _Game,
+    _gain,
+    _WeightTotal,
     best_response,
     best_response_gap,
     best_response_iteration,
@@ -168,6 +176,137 @@ def test_best_response_beats_bid_grid():
         else:
             u_br = (v - br) * wb / (wb + s)
         assert u_br >= float(util.max()) - 1e-9 * max(1.0, v)
+
+
+# ---------------------------------------------------------------------------
+# exact opposing weights
+
+
+def fsum_others(w, i):
+    return math.fsum(w[j] for j in range(len(w)) if j != i)
+
+
+def outcome(fn):
+    """The bits of fn()'s float, or the type of the error it raised."""
+    try:
+        x = fn()
+    except OverflowError:
+        return OverflowError
+    assert not math.isnan(x)
+    return struct.pack("<d", x)
+
+
+def assert_exclusions_match(total):
+    for i in range(len(total.w)):
+        expected = outcome(lambda: fsum_others(total.w, i))
+        assert outcome(lambda: total.others(i)) == expected, (total.w, i)
+
+
+FLOAT_MAX = sys.float_info.max
+# Every magnitude a weight can take: zero, subnormals, 1e-300 .. 1, and the
+# top binades, where totals overflow although each exclusion sum may not.
+weights = st.one_of(
+    st.floats(min_value=0.0, max_value=FLOAT_MAX),
+    st.builds(lambda e, m: math.ldexp(m, e), st.integers(-1074, 1023), st.floats(0.5, 1.0)),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, FLOAT_MAX]),
+    st.floats(min_value=0.5 * FLOAT_MAX, max_value=FLOAT_MAX),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(weights, min_size=2, max_size=12))
+def test_exclusion_sum_is_fsum_over_the_others(w):
+    assert_exclusions_match(_WeightTotal(list(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(weights, min_size=2, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), weights), max_size=12),
+)
+def test_exclusion_sum_stays_exact_under_replacement(w, moves):
+    total = _WeightTotal(list(w))
+    for i, x in moves:
+        i %= len(w)
+        total.replace(i, x)
+        assert_exclusions_match(total)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [1.0, 1e-300],
+        [0.0, 0.0],
+        [0.0, 5e-324, 5e-324],
+        [1e16, 1.0, -0.0, 1.0],
+        [FLOAT_MAX, FLOAT_MAX],
+        [FLOAT_MAX, FLOAT_MAX, 5e-324],
+        [0.75 * FLOAT_MAX, 0.75 * FLOAT_MAX, 0.75 * FLOAT_MAX],
+    ],
+)
+def test_exclusion_sum_edge_cases(w):
+    total = _WeightTotal(list(w))
+    assert_exclusions_match(total)
+    total.replace(0, 2.0)
+    assert_exclusions_match(total)
+
+
+def old_gap(inst, bids, tol=1e-8):
+    """The certificate computed directly: one fsum over the others per bidder, O(n^2)."""
+    game = _Game(inst)
+    w = [game.wf(b) for b in bids]
+    gap = 0.0
+    for i in range(len(bids)):
+        sig_minus = fsum_others(w, i)
+        br = _best_response_scalar(game, i, sig_minus, tol)
+        gain = _gain(game, i, bids[i], br, sig_minus)
+        if gain > gap:
+            gap = gain
+    return gap
+
+
+def certificate_cases():
+    rng = random.Random(909)
+    for n in (2, 3, 50, 400):
+        tied = (100.0,) + (1.0,) * (n - 1)
+        distinct = tuple(100.0 ** rng.random() for _ in range(n))
+        for values in (tied, distinct):
+            fracs = {v: rng.uniform(0.05, 0.5) for v in values}
+            yield n, values, tuple(fracs[v] * v for v in sorted(values, reverse=True))
+        # Tied values with unequal bids, in both orders, so that the largest
+        # gain in the tie sits after its first bidder in one of them.
+        even = (1.0,) * n
+        low = sorted(rng.uniform(0.05, 0.5) for _ in even)
+        yield n, even, tuple(low)
+        yield n, even, tuple(reversed(low))
+
+
+@pytest.mark.parametrize("rule", ["all_pay", "winners_pay"])
+@pytest.mark.parametrize("weight", ["power:0.5", "power:1", "log1p"])
+def test_certificate_is_bit_identical_to_per_bidder_fsum(rule, weight):
+    for n, values, bids in certificate_cases():
+        inst = AuctionInstance.make(rule, values, weight)
+        assert best_response_gap(inst, bids) == old_gap(inst, bids), (n, values[:3])
+
+
+@pytest.mark.parametrize("weight", ["power:0.5", "power:0.25", "log1p", "loglog"])
+def test_public_best_response_is_the_certificate_oracle(weight):
+    # numpy's power and log1p differ from the scalar closures in the last
+    # bit for some inputs; the public oracle must use the closures.
+    rng = random.Random(7)
+    for rule in ("all_pay", "winners_pay"):
+        inst = AuctionInstance.make(rule, (3.0, 2.0, 1.0), weight)
+        game = _Game(inst)
+        for _ in range(40):
+            bids = [rng.uniform(0.01, v) for v in inst.values.values]
+            w = [game.wf(b) for b in bids]
+            gains = [0.0]
+            for i in range(inst.n):
+                sig_minus = fsum_others(w, i)
+                br = best_response(inst, i, bids)
+                assert br == _best_response_scalar(game, i, sig_minus, 1e-8)
+                gains.append(_gain(game, i, bids[i], br, sig_minus))
+            assert best_response_gap(inst, bids) == max(gains)
 
 
 # ---------------------------------------------------------------------------
