@@ -43,6 +43,7 @@ from .solver import (
     EquilibriumResult,
     Method,
     SolverConfig,
+    aggregate_solve,
     best_response,
     best_response_gap,
     best_response_iteration,
@@ -71,6 +72,7 @@ __all__ = [
     "UniformEq",
     "ValuationProfile",
     "WeightSpec",
+    "aggregate_solve",
     "allocation_probabilities",
     "allpay_two_bidder_power",
     "best_response",

@@ -26,6 +26,7 @@ from .mechanism import AuctionInstance
 from .solver import (
     Method,
     SolverConfig,
+    aggregate_solve,
     best_response_gap,
     best_response_iteration,
     giga_solve,
@@ -82,11 +83,12 @@ def _closed_form_grid():
 
 def _criterion_closed_form(check: _Check) -> None:
     giga_cfg = SolverConfig(
-        tolerance=3e-13, max_iterations=500_000, certify_every=500
+        method=Method.GIGA, tolerance=3e-13, max_iterations=500_000, certify_every=500
     )
     bri_cfg = SolverConfig(
         method=Method.BEST_RESPONSE_ITERATION, tolerance=1e-13, max_iterations=4000
     )
+    aggregate_cfg = SolverConfig(tolerance=1e-13)
     for gamma, alpha in _closed_form_grid():
         inst = AuctionInstance.make("all_pay", (alpha, 1.0), f"power:{gamma:g}")
         eq = allpay_two_bidder_power(alpha, gamma)
@@ -94,6 +96,7 @@ def _criterion_closed_form(check: _Check) -> None:
         for name, run, cfg in (
             ("giga", giga_solve, giga_cfg),
             ("best_response_iteration", best_response_iteration, bri_cfg),
+            ("aggregate", aggregate_solve, aggregate_cfg),
         ):
             t0 = time.perf_counter()
             res = run(inst, cfg)
@@ -463,6 +466,7 @@ def _criterion_agreement(check: _Check) -> None:
         giga = giga_solve(
             inst,
             SolverConfig(
+                method=Method.GIGA,
                 tolerance=1e-11,
                 max_iterations=_GIGA_AGREEMENT_BUDGET,
                 certify_every=2000,
@@ -473,6 +477,14 @@ def _criterion_agreement(check: _Check) -> None:
             check.that(
                 worst <= 1e-4,
                 f"{label}: solvers disagree by {worst:.3e} per coordinate",
+            )
+            agg = aggregate_solve(inst, SolverConfig(tolerance=1e-11))
+            check.that(agg.converged, f"{label}: aggregate solve not converged")
+            worst = max(abs(a - b) for a, b in zip(agg.bids.bids, bri.bids.bids))
+            check.that(
+                worst <= 1e-4,
+                f"{label}: aggregate and reference disagree by {worst:.3e} "
+                "per coordinate",
             )
         else:
             skipped.append(
@@ -501,7 +513,7 @@ def _criterion_agreement(check: _Check) -> None:
 # registry and runner
 
 REGISTRY: tuple[tuple[str, str, Callable[[_Check], None]], ...] = (
-    ("closed-form", "two-bidder all-pay power closed form, both solvers",
+    ("closed-form", "two-bidder all-pay power closed form, every solver",
      _criterion_closed_form),
     ("sqrt-alpha", "winners-pay proportional revenue scale at large ratios",
      _criterion_sqrt_alpha),
@@ -526,6 +538,20 @@ REGISTRY: tuple[tuple[str, str, Callable[[_Check], None]], ...] = (
 )
 
 
+def _run_entry(slug: str, title: str, fn: Callable[[_Check], None]) -> CriterionOutcome:
+    check = _Check()
+    start = time.perf_counter()
+    fn(check)
+    return CriterionOutcome(
+        slug=slug,
+        title=title,
+        passed=not check.failures,
+        seconds=time.perf_counter() - start,
+        failures=tuple(check.failures),
+        notes=tuple(check.notes),
+    )
+
+
 def run(
     only: str | None = None,
     report: Callable[[CriterionOutcome], None] | None = None,
@@ -537,18 +563,8 @@ def run(
     if not selected:
         raise DomainError(f"no criterion slug contains {only!r}")
     outcomes = []
-    for slug, title, fn in selected:
-        check = _Check()
-        start = time.perf_counter()
-        fn(check)
-        outcome = CriterionOutcome(
-            slug=slug,
-            title=title,
-            passed=not check.failures,
-            seconds=time.perf_counter() - start,
-            failures=tuple(check.failures),
-            notes=tuple(check.notes),
-        )
+    for entry in selected:
+        outcome = _run_entry(*entry)
         if report is not None:
             report(outcome)
         outcomes.append(outcome)
@@ -557,17 +573,7 @@ def run(
 
 def run_one(slug: str) -> CriterionOutcome:
     """Run a single criterion by exact slug."""
-    for known, title, fn in REGISTRY:
-        if known == slug:
-            check = _Check()
-            start = time.perf_counter()
-            fn(check)
-            return CriterionOutcome(
-                slug=slug,
-                title=title,
-                passed=not check.failures,
-                seconds=time.perf_counter() - start,
-                failures=tuple(check.failures),
-                notes=tuple(check.notes),
-            )
+    for entry in REGISTRY:
+        if entry[0] == slug:
+            return _run_entry(*entry)
     raise DomainError(f"unknown criterion slug {slug!r}")

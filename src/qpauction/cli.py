@@ -59,13 +59,21 @@ def _build_parser() -> _Parser:
         "--method",
         choices=[m.value for m in Method],
         default=None,
-        help="solver (default: giga)",
+        help="solver (default: aggregate)",
     )
     ps.add_argument("--tolerance", type=float, default=None, help="target certified gap")
     ps.add_argument("--max-iterations", type=int, default=None)
-    ps.add_argument("--bid-floor", type=float, default=None)
-    ps.add_argument("--certify-every", type=int, default=None)
-    ps.add_argument("--initial-bids", default=None, help="comma-separated start point")
+    ps.add_argument(
+        "--bid-floor", type=float, default=None, help="iterative methods only"
+    )
+    ps.add_argument(
+        "--certify-every", type=int, default=None, help="gradient method only"
+    )
+    ps.add_argument(
+        "--initial-bids",
+        default=None,
+        help="comma-separated start point (iterative methods only)",
+    )
     ps.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     pw = sub.add_parser("sweep", help="solve an alpha/n grid and emit CSV")
@@ -312,6 +320,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (DomainError, DegenerateProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # values far outside the trusted range underflow or overflow
+        print(f"error: numeric range exceeded ({exc})", file=sys.stderr)
         return 1
     except SystemExit as exc:
         # argparse help/version paths

@@ -147,13 +147,73 @@ def _bids_array(instance: AuctionInstance, bids) -> np.ndarray:
     return arr
 
 
+# Below this magnitude no partial sum of nonnegative weights can overflow,
+# so the expansion and every fsum over a subset of the weights stay exact.
+_EXACT_LIMIT = 2.0**1023
+
+
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to a Shewchuk expansion in place, without rounding error."""
+    k = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[k] = lo
+            k += 1
+        x = hi
+    partials[k:] = [x]
+
+
+class _WeightTotal:
+    """Weights and their exact total, for reading off opposing weights.
+
+    ``partials`` is a Shewchuk expansion (Adaptive precision floating-point
+    arithmetic, DCG 18, 1997): nonoverlapping floats of increasing magnitude
+    whose exact sum is ``sum(w)``.  Its length is bounded by the float
+    exponent range, not by n, so an exclusion sum costs O(1) in n.
+    ``math.fsum`` rounds the exact sum of its inputs correctly, so
+    ``fsum(partials + [-w[i]])`` is bit for bit ``fsum`` over every weight
+    but ``w[i]``.  A total past ``_EXACT_LIMIT`` could overflow, so then the
+    others are summed directly, as fsum would.
+    """
+
+    __slots__ = ("w", "partials")
+
+    def __init__(self, w: list[float]) -> None:
+        self.w = w
+        partials: list[float] = []
+        for x in w:
+            _grow(partials, x)
+        self.partials = partials if abs(partials[-1]) < _EXACT_LIMIT else None
+
+    def others(self, i: int) -> float:
+        """The correctly rounded sum of every weight but ``w[i]``."""
+        partials = self.partials
+        if partials is None:
+            return math.fsum(self.w[:i] + self.w[i + 1 :])
+        return math.fsum(partials + [-self.w[i]])
+
+    def replace(self, i: int, x: float) -> None:
+        """Set ``w[i] = x``, keeping the total exact."""
+        partials = self.partials
+        if partials is not None:
+            _grow(partials, -self.w[i])
+            _grow(partials, x)
+            if not abs(partials[-1]) < _EXACT_LIMIT:
+                self.partials = None
+        self.w[i] = x
+
+
 def weight_sums(instance: AuctionInstance, bids) -> tuple[np.ndarray, float]:
     """Per-bidder weights and their total sigma (a plain float sum).
 
     ``sigma - w[i]`` is only an approximation of bidder i's opposing weight:
     it cancels catastrophically when bidder i carries nearly all the weight.
-    The solver never subtracts; it reads opposing weights off an exact
-    running sum instead.
+    Opposing weights are read off an exact running sum instead
+    (:class:`_WeightTotal`), here and in the solver.
     """
     arr = _bids_array(instance, bids)
     w = instance.weight.value(arr)
@@ -198,6 +258,9 @@ def utility_gradient(instance: AuctionInstance, i: int, bids) -> float:
 
     All-pay:      v_i w'(b_i) (sigma - w_i) / sigma^2 - 1
     Winners-pay:  [w'(b_i)(v_i - b_i)(sigma - w_i) - w_i sigma] / sigma^2
+
+    The opposing weight sigma - w_i is the correctly rounded sum of the
+    other weights, never a difference of rounded floats.
     """
     _check_index(instance, i)
     arr = _bids_array(instance, bids)
@@ -206,7 +269,7 @@ def utility_gradient(instance: AuctionInstance, i: int, bids) -> float:
         raise DegenerateProfileError("all bids carry zero weight; gradient undefined")
     v = instance.values.values[i]
     wd = _deriv_at(instance, float(arr[i]))
-    others = sigma - float(w[i])
+    others = _WeightTotal(w.tolist()).others(i)
     if instance.rule is PaymentRule.ALL_PAY:
         return v * wd * others / (sigma * sigma) - 1.0
     return (wd * (v - float(arr[i])) * others - float(w[i]) * sigma) / (sigma * sigma)
@@ -228,7 +291,8 @@ def utility_gradients(instance: AuctionInstance, bids) -> np.ndarray:
         if not math.isfinite(limit):
             raise DomainError("weight derivative diverges at a zero bid")
         wd[~pos] = limit
-    others = sigma - w
+    total = _WeightTotal(w.tolist())
+    others = np.array([total.others(i) for i in range(instance.n)])
     if instance.rule is PaymentRule.ALL_PAY:
         return v * wd * others / (sigma * sigma) - 1.0
     return (wd * (v - arr) * others - w * sigma) / (sigma * sigma)
@@ -257,16 +321,16 @@ def foc_residual(instance: AuctionInstance, i: int, bids) -> float:
     All-pay:      v_i - sigma^2 / (w'(b_i)(sigma - w_i))
     Winners-pay:  v_i - b_i - w_i sigma / (w'(b_i)(sigma - w_i))
 
-    Requires b_i > 0 and positive opposing weight.  The residual is the
-    gradient rescaled by sigma^2 / (w'(b_i)(sigma - w_i)) > 0, so the two
-    vanish together.
+    Requires b_i > 0 and positive opposing weight, which is summed exactly
+    as in :func:`utility_gradient`.  The residual is the gradient rescaled
+    by sigma^2 / (w'(b_i)(sigma - w_i)) > 0, so the two vanish together.
     """
     _check_index(instance, i)
     arr = _bids_array(instance, bids)
     if arr[i] <= 0.0:
         raise DomainError("foc_residual requires a strictly positive own bid")
     w, sigma = weight_sums(instance, arr)
-    others = sigma - float(w[i])
+    others = _WeightTotal(w.tolist()).others(i)
     if others <= 0.0:
         raise DegenerateProfileError("opposing bids carry zero weight; residual undefined")
     v = instance.values.values[i]

@@ -1,12 +1,17 @@
 """Equilibrium solvers with a verifiable best-response-gap certificate.
 
-Two methods compute the same object:
+Three methods compute the same object:
 
+* ``aggregate`` (the default): rivals enter each payoff only through the
+  total weight sigma, so the equilibrium is one root in sigma.  At a trial
+  sigma each bidder's first-order condition has one root in the own bid;
+  the total weight those bids carry matches sigma exactly at equilibrium
+  (the share-function method of Cornes & Hartley, Econ. Theory 26, 2005),
 * ``giga``: simultaneous projected gradient ascent with step 1/sqrt(t)
   from the all-ones start (generalized infinitesimal gradient ascent),
 * ``best_response_iteration``: cyclic sweeps of exact best responses.
 
-Neither declares success from its own trajectory.  Converged means exactly
+None declares success from its own computation.  Converged means exactly
 one thing: the best-response gap of the returned point, measured by an
 independent one-dimensional maximizer, is at most the configured tolerance.
 
@@ -33,11 +38,12 @@ from typing import Iterable, Sequence
 from . import mechanism
 from .analytic import winnerpay_proportional_best_response
 from .errors import DegenerateProfileError, DomainError
-from .mechanism import AuctionInstance, BidVector, PaymentRule
+from .mechanism import AuctionInstance, BidVector, PaymentRule, _WeightTotal
 from .weights import WeightSpec
 
 
 class Method(str, Enum):
+    AGGREGATE = "aggregate"
     GIGA = "giga"
     BEST_RESPONSE_ITERATION = "best_response_iteration"
 
@@ -49,26 +55,34 @@ class Method(str, Enum):
             return cls(str(text))
         except ValueError:
             raise DomainError(
-                f"unknown method {text!r}; expected 'giga' or 'best_response_iteration'"
+                f"unknown method {text!r}; expected 'aggregate', 'giga' or "
+                "'best_response_iteration'"
             ) from None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both solvers.
+    """Knobs of the solvers.
 
     ``tolerance`` is a bound on the certified best-response gap, not on bid
-    movement.  ``certify_every`` spaces out certificate evaluations for the
-    gradient method (they cost about as much as a thousand plain steps);
-    the sweep method certifies after every sweep since a sweep already costs
-    as much as a certificate.  ``initial_bids`` defaults to all ones,
-    clamped into [bid_floor, v_i].
+    movement.  ``max_iterations`` caps the outer iterations: trial totals
+    for the aggregate method, steps for the gradient method, sweeps for
+    best-response iteration.
+
+    ``bid_floor``, ``initial_bids`` and ``certify_every`` belong to the two
+    iterative methods; the aggregate method has no start point and no
+    floor, so it rejects ``initial_bids`` and ignores the other two.
+    ``certify_every`` spaces out certificate evaluations for the gradient
+    method (they cost about as much as a thousand plain steps); the sweep
+    method certifies after every sweep since a sweep already costs as much
+    as a certificate.  ``initial_bids`` defaults to all ones, clamped into
+    [bid_floor, v_i].
     """
 
     bid_floor: float = 1e-9
     tolerance: float = 1e-8
     max_iterations: int = 10_000_000
-    method: Method = Method.GIGA
+    method: Method = Method.AGGREGATE
     certify_every: int = 1000
     initial_bids: tuple[float, ...] | None = None
 
@@ -90,6 +104,12 @@ class SolverConfig:
                 if not math.isfinite(b) or b < 0.0:
                     raise DomainError(f"initial bids must be finite and >= 0, got {b!r}")
             object.__setattr__(self, "initial_bids", bids)
+            if self.method is Method.AGGREGATE:
+                raise DomainError(
+                    "initial_bids needs an iterative method ('giga' or "
+                    "'best_response_iteration'); the aggregate method has no "
+                    "start point"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -110,9 +130,12 @@ class EquilibriumResult:
 
     ``epsilon`` is the certificate of exactly ``bids``: the best-response
     gap computed on that point, never an estimate from the trajectory, and
-    ``converged`` is exactly ``epsilon <= tolerance``.  ``average_bids`` is
-    the running mean of the iterates; ``bids`` is whichever certified point
-    (an iterate or that mean) achieved the smallest gap.
+    ``converged`` is exactly ``epsilon <= tolerance``.  For the iterative
+    methods ``average_bids`` is the running mean of the iterates and
+    ``bids`` is whichever certified point (an iterate or that mean)
+    achieved the smallest gap.  The aggregate method has no trajectory: its
+    ``average_bids`` equal ``bids``, and ``iterations`` counts the trial
+    totals it evaluated.
     """
 
     bids: BidVector
@@ -138,7 +161,7 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar core shared by both solvers
+# scalar core shared by the solvers
 
 
 class _Game:
@@ -247,66 +270,6 @@ def _best_response_scalar(game: _Game, i: int, sig_minus: float, tol: float) -> 
         lambda b: _utility_masked(game, i, b, sig_minus), 0.0, v, width
     )
     return _polish(lambda b: _gradient_masked(game, i, b, sig_minus), lo, hi)
-
-
-# Below this magnitude no partial sum of nonnegative weights can overflow,
-# so the expansion and every fsum over a subset of the weights stay exact.
-_EXACT_LIMIT = 2.0**1023
-
-
-def _grow(partials: list[float], x: float) -> None:
-    """Add x to a Shewchuk expansion in place, without rounding error."""
-    k = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[k] = lo
-            k += 1
-        x = hi
-    partials[k:] = [x]
-
-
-class _WeightTotal:
-    """The weights of one pass and their exact total.
-
-    ``partials`` is a Shewchuk expansion (Adaptive precision floating-point
-    arithmetic, DCG 18, 1997): nonoverlapping floats of increasing magnitude
-    whose exact sum is ``sum(w)``.  Its length is bounded by the float
-    exponent range, not by n, so an exclusion sum costs O(1) in n.
-    ``math.fsum`` rounds the exact sum of its inputs correctly, so
-    ``fsum(partials + [-w[i]])`` is bit for bit ``fsum`` over every weight
-    but ``w[i]``.  A total past ``_EXACT_LIMIT`` could overflow, so then the
-    pass sums the others directly, as fsum would.
-    """
-
-    __slots__ = ("w", "partials")
-
-    def __init__(self, w: list[float]) -> None:
-        self.w = w
-        partials: list[float] = []
-        for x in w:
-            _grow(partials, x)
-        self.partials = partials if abs(partials[-1]) < _EXACT_LIMIT else None
-
-    def others(self, i: int) -> float:
-        """The correctly rounded sum of every weight but ``w[i]``."""
-        partials = self.partials
-        if partials is None:
-            return math.fsum(self.w[:i] + self.w[i + 1 :])
-        return math.fsum(partials + [-self.w[i]])
-
-    def replace(self, i: int, x: float) -> None:
-        """Set ``w[i] = x``, keeping the total exact."""
-        partials = self.partials
-        if partials is not None:
-            _grow(partials, -self.w[i])
-            _grow(partials, x)
-            if not abs(partials[-1]) < _EXACT_LIMIT:
-                self.partials = None
-        self.w[i] = x
 
 
 def _gap_scalar(game: _Game, bids: Sequence[float], tol: float) -> float:
@@ -585,11 +548,187 @@ def best_response_iteration(
     )
 
 
+def _falsi(f, lo: float, hi: float, f_lo: float, f_hi: float, max_evals: int) -> float:
+    """Root of a decreasing f on [lo, hi], given f(lo) > 0 > f(hi).
+
+    Regula falsi with the Illinois modification: when the same end moves
+    twice running, the other end's value is halved, which restores
+    superlinear convergence.  A falsi point is kept a few ulps inside the
+    bracket, so a root next to an end closes the bracket at once.  A step
+    that leaves the bracket, or three steps that fail to halve it, give way
+    to bisection, geometric while the bracket spans more than a factor of
+    two, so brackets over hundreds of orders of magnitude still close fast.
+    Stops at an exact zero, once no float lies strictly inside the bracket,
+    or after ``max_evals`` evaluations; returns the evaluated point with
+    the smallest ``|f|``.
+    """
+    best, f_best = (lo, f_lo) if f_lo <= -f_hi else (hi, f_hi)
+    side = 0
+    w1 = w2 = w3 = math.inf  # the bracket widths of the last three steps
+    for _ in range(max_evals):
+        width = hi - lo
+        x = lo + width * (f_lo / (f_lo - f_hi))
+        nudge = 4.0 * math.ulp(hi)
+        if x < lo + nudge:
+            x = lo + nudge
+        elif x > hi - nudge:
+            x = hi - nudge
+        if not (lo < x < hi) or width > 0.5 * w1:
+            if 0.0 < 2.0 * lo < hi:
+                x = math.sqrt(lo) * math.sqrt(hi)
+            else:
+                x = lo + 0.5 * width
+            if not (lo < x < hi):
+                break
+        w1, w2, w3 = w2, w3, width
+        fx = f(x)
+        if abs(fx) < abs(f_best):
+            best, f_best = x, fx
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        elif fx < 0.0:
+            hi, f_hi = x, fx
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+        else:
+            break
+    return best
+
+
+def _value_runs(values: Sequence[float]) -> list[tuple[float, int]]:
+    """(value, multiplicity) for each run of equal values, in order."""
+    runs: list[tuple[float, int]] = []
+    for v in values:
+        if runs and runs[-1][0] == v:
+            runs[-1] = (v, runs[-1][1] + 1)
+        else:
+            runs.append((v, 1))
+    return runs
+
+
+def _stationary_bid(
+    game: _Game, v: float, sigma: float, guess: float, spread: float
+) -> float:
+    """The bid that satisfies a value-v bidder's first-order condition when
+    the total weight, their own included, is sigma.
+
+    All-pay:      v w'(b) (sigma - w(b)) = sigma^2
+    Winners-pay:  w'(b) (v - b) (sigma - w(b)) = w(b) sigma
+
+    Both residuals decrease in b and are negative at b = v, so the root is
+    unique.  An all-pay residual that is already nonpositive at the
+    smallest probe means the bidder is outbid: the bid is exactly zero.
+    The search first tries the bracket guess * (1 -+ spread), then falls
+    back to the rest of [probe, v].
+    """
+    wf, wd = game.wf, game.wd
+    # both residuals are divided by a power of sigma, which keeps them in
+    # float range at any scale and changes no sign
+    if game.all_pay:
+        ratio = v / sigma
+
+        def residual(b: float) -> float:
+            return ratio * wd(b) * (1.0 - wf(b) / sigma) - 1.0
+
+    else:
+
+        def residual(b: float) -> float:
+            w = wf(b)
+            return wd(b) * (v - b) * (1.0 - w / sigma) - w
+
+    lo, hi = min(1e-300, 0.5 * v), v
+    r_lo = r_hi = None
+    if guess > 0.0 and spread < 0.5:
+        for x in (guess * (1.0 - spread), min(v, guess * (1.0 + spread))):
+            r = residual(x)
+            if r > 0.0:
+                lo, r_lo = x, r
+            else:
+                hi, r_hi = x, r
+                break
+    if r_lo is None:
+        r_lo = residual(lo)
+        if not r_lo > 0.0:
+            return 0.0
+    if r_hi is None:
+        r_hi = residual(hi)
+    return _falsi(residual, lo, hi, r_lo, r_hi, 200)
+
+
+def aggregate_solve(
+    instance: AuctionInstance, config: SolverConfig | None = None
+) -> EquilibriumResult:
+    """One root in the total weight sigma, then one certificate.
+
+    At a trial sigma every bidder's stationary bid b_i(sigma) is a 1-D root
+    (:func:`_stationary_bid`), and the equilibrium total is the root of
+    sum_i w(b_i(sigma)) / sigma - 1, which decreases in sigma.  The bracket
+    starts at sigma = sum_i w(v_i), where the excess is negative, and is
+    quartered down until it turns positive; regula falsi then closes it to
+    float resolution.  Equal values share one stationary bid, so each run
+    of them is solved once.  ``iterations`` counts trial totals and is
+    capped by ``max_iterations``; an exhausted cap returns the best trial
+    point found, certified as it is.  There is no bid floor: outbid
+    all-pay bidders bid exactly zero.
+    """
+    config = config or SolverConfig()
+    if config.initial_bids is not None:
+        raise DomainError("the aggregate method takes no initial_bids")
+    game = _Game(instance)
+    wf = game.wf
+    runs = _value_runs(game.values)
+    evals = 0
+    # each trial's bids, bracketed by how far the total moved, seed the next
+    last_sigma = math.nan
+    last_bids = [0.0] * len(runs)
+
+    def stationary_bids(sigma: float) -> list[float]:
+        nonlocal last_sigma, last_bids
+        if sigma == last_sigma:
+            return last_bids
+        spread = 2.0 * abs(sigma / last_sigma - 1.0)
+        last_bids = [
+            _stationary_bid(game, v, sigma, guess, spread)
+            for (v, _), guess in zip(runs, last_bids)
+        ]
+        last_sigma = sigma
+        return last_bids
+
+    def excess(sigma: float) -> float:
+        nonlocal evals
+        evals += 1
+        bids = stationary_bids(sigma)
+        return math.fsum(k * wf(b) for (_, k), b in zip(runs, bids)) / sigma - 1.0
+
+    cap = config.max_iterations
+    hi = math.fsum(wf(v) for v in game.values)
+    f_hi = excess(hi)
+    lo, f_lo = hi, f_hi
+    while f_lo < 0.0 and evals < cap and 0.25 * lo > 0.0:
+        hi, f_hi = lo, f_lo
+        lo *= 0.25
+        f_lo = excess(lo)
+    if f_lo > 0.0 > f_hi and evals < cap:
+        sigma = _falsi(excess, lo, hi, f_lo, f_hi, cap - evals)
+    else:
+        sigma = lo if abs(f_lo) <= abs(f_hi) else hi
+    bids = [b for (_, k), b in zip(runs, stationary_bids(sigma)) for _ in range(k)]
+    tracker = _Tracker(game)
+    tracker.certify(bids, bids)
+    return _finish(instance, config, tracker, bids, evals, Method.AGGREGATE)
+
+
 def solve(
     instance: AuctionInstance, config: SolverConfig | None = None
 ) -> EquilibriumResult:
-    """Dispatch to the method named in the config (default: giga)."""
+    """Dispatch to the method named in the config (default: aggregate)."""
     config = config or SolverConfig()
+    if config.method is Method.AGGREGATE:
+        return aggregate_solve(instance, config)
     if config.method is Method.GIGA:
         return giga_solve(instance, config)
     return best_response_iteration(instance, config)

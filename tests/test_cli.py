@@ -73,6 +73,32 @@ def test_solve_solver_flags_reach_the_config(capsys):
     assert "iterations    2" in out
 
 
+def test_solve_defaults_to_aggregate_method(capsys):
+    code, out, _ = run(capsys, "solve", "all_pay", "power:1", "--values", "100,3,1")
+    assert code == 0
+    assert "method        aggregate" in out
+    assert "converged     yes" in out
+
+
+def test_solve_initial_bids_need_an_iterative_method(capsys):
+    argv = ("solve", "all_pay", "power:1", "--values", "4,1", "--initial-bids", "1,1")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "initial_bids" in err
+    code, out, _ = run(capsys, *argv, "--method", "best_response_iteration")
+    assert code == 0
+    assert "converged     yes" in out
+
+
+def test_solve_out_of_range_values_exit_one(capsys):
+    argv = ("solve", "all_pay", "power:1", "--values", "1e-200,1e-200")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_solve_rejects_nonpositive_value(capsys):
     code, out, err = run(capsys, "solve", "winners_pay", "power:1", "--values", "0,1")
     assert code == 1

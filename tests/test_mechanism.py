@@ -14,6 +14,7 @@ from qpauction import (
     PaymentRule,
     ValuationProfile,
     allocation_probabilities,
+    best_response_gap,
     efficiency,
     foc_residual,
     revenue,
@@ -234,6 +235,19 @@ def test_foc_residual_domain_checks():
         foc_residual(inst, 0, (0.0, 0.5))
     with pytest.raises(DegenerateProfileError):
         foc_residual(inst, 0, (0.5, 0.0))
+
+
+def test_opposing_weight_is_exact_when_one_bidder_carries_almost_all():
+    # sigma - w[0] rounds to zero here although the opposing weight is 1e-9
+    # (resp. 1e-26); the best-response gap certifies the same profile
+    inst = AuctionInstance.make("all_pay", (1e9, 1.0), "power:1")
+    bids = (1e9, 1e-9)
+    assert foc_residual(inst, 0, bids) == pytest.approx(1e9 - 1e18 / 1e-9, rel=1e-12)
+    assert math.isfinite(best_response_gap(inst, bids))
+    bids = (1e-9, 1e-26)
+    expected = 1e9 * 1e-26 / 1e-18 - 1.0  # v w' s / sigma^2 - 1 = 9
+    assert utility_gradient(inst, 0, bids) == pytest.approx(expected, rel=1e-12)
+    assert utility_gradients(inst, bids)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_bad_bidder_index_rejected():

@@ -1,4 +1,4 @@
-"""Solver tests: the best-response oracle, the certificate, and both solvers.
+"""Solver tests: the best-response oracle, the certificate, and the solvers.
 
 Closed-form anchors come from the two-bidder results exercised in
 test_analytic; convergence budgets were sized by running each instance
@@ -15,6 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpauction import mechanism
+from qpauction.analytic import (
+    allpay_two_bidder_power,
+    uniform_equilibrium,
+    winnerpay_proportional_two_bidder,
+)
 from qpauction.errors import DegenerateProfileError, DomainError
 from qpauction.mechanism import AuctionInstance, BidVector
 from qpauction.solver import (
@@ -25,6 +31,7 @@ from qpauction.solver import (
     _Game,
     _gain,
     _WeightTotal,
+    aggregate_solve,
     best_response,
     best_response_gap,
     best_response_iteration,
@@ -52,7 +59,7 @@ def test_config_defaults():
     assert cfg.bid_floor == 1e-9
     assert cfg.tolerance == 1e-8
     assert cfg.max_iterations == 10_000_000
-    assert cfg.method is Method.GIGA
+    assert cfg.method is Method.AGGREGATE
     assert cfg.certify_every == 1000
     assert cfg.initial_bids is None
 
@@ -62,10 +69,11 @@ def test_config_accepts_method_string():
         Method.BEST_RESPONSE_ITERATION
     )
     assert SolverConfig(method="giga").method is Method.GIGA
+    assert SolverConfig(method="aggregate").method is Method.AGGREGATE
 
 
 def test_config_normalizes_initial_bids():
-    cfg = SolverConfig(initial_bids=[0.5, 0.25])
+    cfg = SolverConfig(method="best_response_iteration", initial_bids=[0.5, 0.25])
     assert cfg.initial_bids == (0.5, 0.25)
     assert isinstance(cfg.initial_bids, tuple)
 
@@ -96,6 +104,7 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_method_parse():
     assert Method.parse("giga") is Method.GIGA
+    assert Method.parse("aggregate") is Method.AGGREGATE
     assert Method.parse(Method.BEST_RESPONSE_ITERATION) is (
         Method.BEST_RESPONSE_ITERATION
     )
@@ -434,6 +443,7 @@ def test_giga_stays_at_equilibrium_start():
     res = giga_solve(
         inst,
         SolverConfig(
+            method="giga",
             tolerance=1e-10,
             max_iterations=10_000,
             certify_every=50,
@@ -520,7 +530,10 @@ def test_bri_single_sweep_from_equilibrium():
     res = best_response_iteration(
         inst,
         SolverConfig(
-            tolerance=1e-10, max_iterations=100, initial_bids=ap_power_eq(4.0, 0.5)
+            method="best_response_iteration",
+            tolerance=1e-10,
+            max_iterations=100,
+            initial_bids=ap_power_eq(4.0, 0.5),
         ),
     )
     assert res.converged
@@ -586,6 +599,197 @@ def test_bri_exhaustion_reports_not_converged():
 
 
 # ---------------------------------------------------------------------------
+# aggregate
+
+
+def decades(lo, hi, per_decade=2):
+    k = round(lo * per_decade)
+    while k <= round(hi * per_decade):
+        yield 10.0 ** (k / per_decade)
+        k += 1
+
+
+@pytest.mark.parametrize(
+    "gamma, max_exp", [(0.25, 12), (0.5, 12), (1.0, 10)]
+)
+def test_aggregate_matches_allpay_closed_form(gamma, max_exp):
+    # beyond 1e10 the sigma parametrization loses the power:1 low bid
+    # (about 1/alpha) to cancellation; the certificate then reports it
+    for alpha in decades(0, max_exp):
+        inst = AuctionInstance.make("all_pay", (alpha, 1.0), f"power:{gamma:g}")
+        res = aggregate_solve(inst)
+        eq = allpay_two_bidder_power(alpha, gamma)
+        assert res.converged, alpha
+        assert res.bids.bids == pytest.approx((eq.high_bid, eq.low_bid), rel=1e-6)
+        assert res.revenue == pytest.approx(eq.revenue, rel=1e-6)
+
+
+def test_aggregate_matches_winnerpay_proportional_closed_form():
+    for alpha in decades(0, 12):
+        inst = AuctionInstance.make("winners_pay", (alpha, 1.0), "power:1")
+        res = aggregate_solve(inst)
+        eq = winnerpay_proportional_two_bidder(alpha)
+        assert res.converged, alpha
+        assert res.bids.bids == pytest.approx((eq.high_bid, eq.low_bid), rel=1e-6)
+
+
+@pytest.mark.parametrize("rule", ["all_pay", "winners_pay"])
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_aggregate_matches_uniform_equilibria(rule, n):
+    for gamma in (0.25, 0.5, 1.0):
+        for value in (1.0, 10.0):
+            eq = uniform_equilibrium(n, value, gamma, rule)
+            inst = AuctionInstance.make(rule, (value,) * n, f"power:{gamma:g}")
+            res = aggregate_solve(inst, SolverConfig(tolerance=1e-14))
+            assert res.converged
+            for b in res.bids.bids:
+                assert b == pytest.approx(eq.bid, rel=1e-9)
+            assert res.revenue == pytest.approx(eq.revenue, rel=1e-9)
+
+
+def test_aggregate_outbid_allpay_bidder_bids_exactly_zero():
+    # the opponents' total weight exceeds the third bidder's value, so
+    # their only equilibrium bid is the corner; no floor keeps it off zero
+    inst = AuctionInstance.make("all_pay", (100.0, 3.0, 1.0), "power:1")
+    res = aggregate_solve(inst, SolverConfig(tolerance=1e-12))
+    assert res.converged
+    assert res.bids.bids[2] == 0.0
+    assert res.bids.bids[0] == pytest.approx(2.8277877, abs=1e-6)
+    assert res.bids.bids[1] == pytest.approx(0.0848336, abs=1e-6)
+
+
+def test_aggregate_result_is_consistent_with_mechanism():
+    inst = AuctionInstance.make("winners_pay", (4.0, 2.0, 1.0), "log1p")
+    res = aggregate_solve(inst)
+    assert res.method is Method.AGGREGATE
+    assert res.average_bids == res.bids
+    assert res.epsilon == best_response_gap(inst, res.bids)
+    assert res.revenue == mechanism.revenue(inst, res.bids)
+    assert res.efficiency == mechanism.efficiency(inst, res.bids)
+    assert 1 <= res.iterations <= 200
+
+
+def test_aggregate_is_deterministic():
+    inst = AuctionInstance.make("all_pay", (7.0, 3.0, 3.0, 1.0), "power:0.25")
+    assert aggregate_solve(inst).to_dict() == aggregate_solve(inst).to_dict()
+
+
+def test_aggregate_iteration_cap_returns_certified_point():
+    inst = AuctionInstance.make("all_pay", (4.0, 1.0), "power:0.5")
+    res = aggregate_solve(inst, SolverConfig(max_iterations=1))
+    assert res.iterations == 1
+    assert not res.converged
+    assert res.epsilon == best_response_gap(inst, res.bids)
+    assert res.epsilon > 1e-8
+    res = aggregate_solve(inst, SolverConfig(max_iterations=3))
+    assert res.iterations == 3
+
+
+def test_aggregate_needs_no_floor_at_tiny_values():
+    # power-weight games are scale-free, so values far below any bid floor
+    # the iterative methods use still solve
+    inst = AuctionInstance.make("winners_pay", (1e-12, 1e-12), "power:0.5")
+    res = aggregate_solve(inst, SolverConfig(tolerance=1e-24))
+    assert res.converged
+    assert res.bids.bids == pytest.approx((2e-13, 2e-13), rel=1e-9)
+
+
+def test_aggregate_rejects_initial_bids():
+    with pytest.raises(DomainError, match="initial_bids"):
+        SolverConfig(initial_bids=(0.5, 0.5))
+    with pytest.raises(DomainError, match="initial_bids"):
+        SolverConfig(method="aggregate", initial_bids=(0.5, 0.5))
+    inst = AuctionInstance.make("all_pay", (4.0, 1.0), "power:1")
+    with pytest.raises(DomainError, match="initial_bids"):
+        aggregate_solve(inst, SolverConfig(method="giga", initial_bids=(0.5, 0.5)))
+
+
+WEIGHT_TAGS = ("power:1", "power:0.5", "power:0.25", "log1p", "loglog")
+
+
+@st.composite
+def games(draw, max_ratio=1e9, weights=WEIGHT_TAGS):
+    """(rule, values, weight) with value ratios up to max_ratio and some ties."""
+    n = draw(st.integers(2, 7))
+    top = draw(st.floats(-3.0, 3.0))
+    span = math.log10(max_ratio)
+    logs = draw(st.lists(st.floats(top - span, top), min_size=n, max_size=n))
+    values = [10.0 ** x for x in logs]
+    ties = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        values = [values[k] for k in ties]
+    return draw(st.sampled_from(["all_pay", "winners_pay"])), values, draw(
+        st.sampled_from(weights)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_aggregate_certifies_and_orders_bids(game):
+    rule, values, weight = game
+    inst = AuctionInstance.make(rule, values, weight)
+    res = aggregate_solve(inst)
+    assert res.converged
+    assert best_response_gap(inst, res.bids) <= SolverConfig().tolerance
+    bids, vals = res.bids.bids, inst.values.values
+    for k in range(inst.n - 1):
+        assert bids[k] >= bids[k + 1]
+        if vals[k] == vals[k + 1]:
+            assert bids[k] == bids[k + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(games(), st.randoms(use_true_random=False))
+def test_aggregate_is_permutation_covariant(game, rnd):
+    rule, values, weight = game
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    base = aggregate_solve(AuctionInstance.make(rule, values, weight))
+    inst = AuctionInstance.make(rule, shuffled, weight)
+    res = aggregate_solve(inst)
+    assert res.to_dict() == base.to_dict()
+    # mapped back through original_indices, each caller's bid follows their value
+    by_caller = [0.0] * inst.n
+    for k, j in enumerate(inst.values.original_indices):
+        by_caller[j] = res.bids.bids[k]
+    by_value = dict(zip(inst.values.values, res.bids.bids))
+    assert by_caller == [by_value[v] for v in shuffled]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    games(max_ratio=1e4, weights=("power:1", "power:0.5", "power:0.25")),
+    st.floats(-6.0, 6.0),
+)
+def test_aggregate_is_scale_covariant_for_power_weights(game, log_c):
+    rule, values, weight = game
+    c = 10.0**log_c
+    base = aggregate_solve(AuctionInstance.make(rule, values, weight))
+    scaled_values = [c * v for v in values]
+    scaled = aggregate_solve(AuctionInstance.make(rule, scaled_values, weight))
+    assert scaled.converged
+    top = c * max(base.bids.bids)
+    for b, sb in zip(base.bids.bids, scaled.bids.bids):
+        assert sb == pytest.approx(c * b, rel=1e-7, abs=1e-13 * top)
+
+
+def test_aggregate_agrees_with_best_response_iteration():
+    rng = random.Random(4242)
+    for _ in range(24):
+        n = rng.randint(2, 4)
+        values = [100.0 ** rng.random() for _ in range(n)]
+        rule = rng.choice(("all_pay", "winners_pay"))
+        weight = rng.choice(WEIGHT_TAGS)
+        inst = AuctionInstance.make(rule, values, weight)
+        agg = aggregate_solve(inst, SolverConfig(tolerance=1e-12))
+        bri = best_response_iteration(
+            inst, SolverConfig(tolerance=1e-12, max_iterations=20_000)
+        )
+        assert agg.converged and bri.converged
+        assert agg.bids.bids == pytest.approx(bri.bids.bids, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
 # cross-cutting invariants
 
 
@@ -625,7 +829,10 @@ def test_equilibrium_unique_across_starts():
             res = best_response_iteration(
                 inst,
                 SolverConfig(
-                    tolerance=1e-12, max_iterations=4000, initial_bids=start
+                    method="best_response_iteration",
+                    tolerance=1e-12,
+                    max_iterations=4000,
+                    initial_bids=start,
                 ),
             )
             assert res.converged
@@ -664,11 +871,14 @@ def test_solve_dispatches_on_method():
         ),
     )
     assert res.method is Method.GIGA
+    res = solve(inst, SolverConfig(tolerance=1e-10, method="aggregate"))
+    assert res.method is Method.AGGREGATE
 
 
 def test_solve_default_config_converges():
     inst = AuctionInstance.make("all_pay", (4.0, 1.0), "power:0.5")
     res = solve(inst)
+    assert res.method is Method.AGGREGATE
     assert res.converged
     assert res.epsilon <= 1e-8
 
@@ -686,14 +896,19 @@ def test_floor_above_smallest_value_rejected():
 def test_initial_bids_length_checked():
     inst = AuctionInstance.make("all_pay", (4.0, 1.0), "power:1")
     with pytest.raises(DomainError):
-        giga_solve(inst, SolverConfig(initial_bids=(0.1, 0.1, 0.1)))
+        giga_solve(inst, SolverConfig(method="giga", initial_bids=(0.1, 0.1, 0.1)))
 
 
 def test_initial_bids_clamped_into_box():
     inst = AuctionInstance.make("all_pay", (4.0, 1.0), "power:0.5")
     res = best_response_iteration(
         inst,
-        SolverConfig(tolerance=1e-10, max_iterations=200, initial_bids=(100.0, 0.0)),
+        SolverConfig(
+            method="best_response_iteration",
+            tolerance=1e-10,
+            max_iterations=200,
+            initial_bids=(100.0, 0.0),
+        ),
     )
     assert res.converged
 
