@@ -18,17 +18,10 @@ import numpy as np
 
 from .errors import DomainError
 from .mechanism import AuctionInstance, PaymentRule
-from .solver import EquilibriumResult, Method, SolverConfig, solve
+from .solver import EquilibriumResult, SolverConfig, solve
 from .weights import WeightSpec
 
 CSV_HEADER = "alpha,n,rule,weight,revenue,efficiency,epsilon,iterations,converged,bids"
-
-# Sweeps favor the sweep-friendly solver: best-response iteration certifies
-# the same gap but reaches it in orders of magnitude fewer oracle calls on
-# lopsided instances, where the fixed-step gradient method crawls.
-_SWEEP_DEFAULT = SolverConfig(
-    method=Method.BEST_RESPONSE_ITERATION, max_iterations=20_000
-)
 
 
 def _fmt(x: float) -> str:
@@ -40,8 +33,8 @@ class SweepSpec:
     """Grid description for one sweep.
 
     The alpha grid is geometric from ``alpha_start`` to ``alpha_stop`` with
-    ``alpha_points`` points, endpoints included.  ``solver`` overrides the
-    sweep's solver configuration wholesale when given.
+    ``alpha_points`` points, endpoints included.  ``solver`` replaces the
+    default ``SolverConfig()``, the same one :func:`solve` uses, when given.
     """
 
     rule: PaymentRule
@@ -234,7 +227,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     Unconverged points are kept and flagged, never dropped.  ``workers``
     above 1 fans points out to a process pool; output order is unaffected.
     """
-    config = spec.solver if spec.solver is not None else _SWEEP_DEFAULT
+    config = spec.solver if spec.solver is not None else SolverConfig()
     tasks = [
         (spec.rule, alpha, n, weight, spec.values_for(alpha, n), config)
         for alpha, n, weight in spec.points()

@@ -298,21 +298,35 @@ def utility_gradients(instance: AuctionInstance, bids) -> np.ndarray:
     return (wd * (v - arr) * others - w * sigma) / (sigma * sigma)
 
 
+def _closure_weights(
+    instance: AuctionInstance, bids, what: str
+) -> tuple[list[float], list[float], float]:
+    """Bids, their weights through the scalar closures, and sigma by fsum.
+
+    The certificate weighs bids through the same closures, so revenue and
+    efficiency describe exactly the profile that epsilon certifies.
+    """
+    b = _bids_array(instance, bids).tolist()
+    wf, _ = instance.weight.scalar_functions()
+    w = [wf(x) for x in b]
+    sigma = math.fsum(w)
+    if sigma <= 0.0:
+        raise DegenerateProfileError(f"all bids carry zero weight; {what} undefined")
+    return b, w, sigma
+
+
 def revenue(instance: AuctionInstance, bids) -> float:
     """Seller revenue: sum of bids (all-pay) or win-probability-weighted bids."""
-    arr = _bids_array(instance, bids)
     if instance.rule is PaymentRule.ALL_PAY:
-        return float(np.sum(arr))
-    w, sigma = weight_sums(instance, arr)
-    if sigma <= 0.0:
-        raise DegenerateProfileError("all bids carry zero weight; revenue undefined")
-    return float(np.sum(arr * w) / sigma)
+        return float(np.sum(_bids_array(instance, bids)))
+    b, w, sigma = _closure_weights(instance, bids, "revenue")
+    return math.fsum(x * y for x, y in zip(b, w)) / sigma
 
 
 def efficiency(instance: AuctionInstance, bids) -> float:
     """Expected value delivered to the winner: sum_i v_i w(b_i)/sigma."""
-    p = allocation_probabilities(instance, bids)
-    return float(np.sum(instance.values.as_array() * p))
+    _, w, sigma = _closure_weights(instance, bids, "efficiency")
+    return math.fsum(v * y for v, y in zip(instance.values.values, w)) / sigma
 
 
 def foc_residual(instance: AuctionInstance, i: int, bids) -> float:

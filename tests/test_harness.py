@@ -2,10 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from qpauction import mechanism
+from qpauction.analytic import allpay_two_bidder_power, winnerpay_proportional_two_bidder
 from qpauction.errors import DomainError
 from qpauction.harness import (
     CSV_HEADER,
@@ -182,6 +184,22 @@ def test_sweep_keeps_unconverged_rows():
     assert rows[0].epsilon > 1e-13
 
 
+@pytest.mark.parametrize("alpha", [1e8, 1e10])
+def test_default_sweep_certifies_only_the_true_equilibrium_at_large_ratios(alpha):
+    # Best-response iteration with its default bid floor certifies 3.16x the
+    # closed-form revenue at alpha = 1e10; the default solver has no floor.
+    spec = small_spec(
+        rule="all_pay",
+        weights=("power:1",),
+        alpha_start=alpha,
+        alpha_stop=alpha,
+        alpha_points=1,
+    )
+    (row,) = run_sweep(spec)
+    assert row.converged
+    assert row.revenue == pytest.approx(allpay_two_bidder_power(alpha, 1.0).revenue, rel=1e-6)
+
+
 def test_sweep_parallel_matches_serial():
     spec = small_spec(ns=(2, 3))
     serial = run_sweep(spec, workers=1)
@@ -253,6 +271,24 @@ def test_csv_round_trip(tmp_path):
         assert theirs.alpha == pytest.approx(ours.alpha, rel=1e-11)
         assert theirs.revenue == pytest.approx(ours.revenue, rel=1e-11)
         assert theirs.bids == pytest.approx(ours.bids, rel=1e-11)
+
+
+@pytest.mark.parametrize("rule", ["all_pay", "winners_pay"])
+def test_pinned_sweep_files_match_the_closed_forms(rule):
+    rows = read_csv(Path(__file__).parent / "data" / f"sweep_{rule}.csv")
+    checked = 0
+    for row in rows:
+        assert row.converged
+        if rule == "all_pay" and row.weight.startswith("power:"):
+            eq = allpay_two_bidder_power(row.alpha, WeightSpec.parse(row.weight).gamma)
+        elif rule == "winners_pay" and row.weight == "power:1":
+            eq = winnerpay_proportional_two_bidder(row.alpha)
+        else:
+            continue
+        assert row.bids == pytest.approx((eq.high_bid, eq.low_bid), rel=1e-10)
+        assert row.revenue == pytest.approx(eq.revenue, rel=1e-10)
+        checked += 1
+    assert checked == (18 if rule == "all_pay" else 6)
 
 
 def test_csv_floats_use_twelve_significant_digits():

@@ -669,6 +669,23 @@ def test_aggregate_result_is_consistent_with_mechanism():
     assert 1 <= res.iterations <= 200
 
 
+@pytest.mark.parametrize(
+    "values, weight",
+    [((2.0, 1.0), "power:0.25"), ((9.0, 1.0), "log1p"), ((10.0, 1.0), "loglog")],
+)
+def test_result_revenue_uses_the_certificate_weights(values, weight):
+    # At these equilibria numpy's WeightSpec.value and the scalar closures
+    # the certificate uses differ in the last bit of some weight.
+    inst = AuctionInstance.make("winners_pay", values, weight)
+    res = solve(inst)
+    bids = res.bids.bids
+    wf, _ = inst.weight.scalar_functions()
+    w = [wf(b) for b in bids]
+    sigma = math.fsum(w)
+    assert res.revenue == math.fsum(b * x for b, x in zip(bids, w)) / sigma
+    assert res.efficiency == math.fsum(v * x for v, x in zip(values, w)) / sigma
+
+
 def test_aggregate_is_deterministic():
     inst = AuctionInstance.make("all_pay", (7.0, 3.0, 3.0, 1.0), "power:0.25")
     assert aggregate_solve(inst).to_dict() == aggregate_solve(inst).to_dict()
