@@ -47,8 +47,6 @@ from .solver import (
     best_response,
     best_response_gap,
     best_response_iteration,
-    giga_solve,
-    iteration_budget,
     solve,
 )
 from .weights import WeightSpec
@@ -81,8 +79,6 @@ __all__ = [
     "efficiency",
     "foc_residual",
     "format_csv",
-    "giga_solve",
-    "iteration_budget",
     "logweight_bid_bound",
     "manybuyer_limits",
     "read_csv",

@@ -64,15 +64,12 @@ def _build_parser() -> _Parser:
     ps.add_argument("--tolerance", type=float, default=None, help="target certified gap")
     ps.add_argument("--max-iterations", type=int, default=None)
     ps.add_argument(
-        "--bid-floor", type=float, default=None, help="iterative methods only"
-    )
-    ps.add_argument(
-        "--certify-every", type=int, default=None, help="gradient method only"
+        "--bid-floor", type=float, default=None, help="iterative method only"
     )
     ps.add_argument(
         "--initial-bids",
         default=None,
-        help="comma-separated start point (iterative methods only)",
+        help="comma-separated start point (iterative method only)",
     )
     ps.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
@@ -126,8 +123,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         overrides["max_iterations"] = args.max_iterations
     if args.bid_floor is not None:
         overrides["bid_floor"] = args.bid_floor
-    if args.certify_every is not None:
-        overrides["certify_every"] = args.certify_every
     if args.initial_bids is not None:
         overrides["initial_bids"] = tuple(_floats(args.initial_bids))
     return SolverConfig(**overrides)

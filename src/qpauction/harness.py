@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -145,6 +145,9 @@ class SweepSpec:
         if solver is not None:
             if not isinstance(solver, dict):
                 raise DomainError("solver overrides must be a JSON object")
+            unknown = set(solver) - {f.name for f in fields(SolverConfig)}
+            if unknown:
+                raise DomainError(f"unknown solver keys: {sorted(unknown)}")
             solver = SolverConfig(**solver)
         return cls(
             rule=data["rule"],

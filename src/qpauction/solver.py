@@ -1,17 +1,16 @@
 """Equilibrium solvers with a verifiable best-response-gap certificate.
 
-Three methods compute the same object:
+Two methods compute the same object:
 
 * ``aggregate`` (the default): rivals enter each payoff only through the
   total weight sigma, so the equilibrium is one root in sigma.  At a trial
   sigma each bidder's first-order condition has one root in the own bid;
   the total weight those bids carry matches sigma exactly at equilibrium
   (the share-function method of Cornes & Hartley, Econ. Theory 26, 2005),
-* ``giga``: simultaneous projected gradient ascent with step 1/sqrt(t)
-  from the all-ones start (generalized infinitesimal gradient ascent),
-* ``best_response_iteration``: cyclic sweeps of exact best responses.
+* ``best_response_iteration``: damped cyclic sweeps of exact best
+  responses, the independent reference.
 
-None declares success from its own computation.  Converged means exactly
+Neither declares success from its own computation.  Converged means exactly
 one thing: the best-response gap of the returned point, measured by an
 independent one-dimensional maximizer, is at most the configured tolerance.
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import mechanism
 from .analytic import winnerpay_proportional_best_response
@@ -44,7 +43,6 @@ from .weights import WeightSpec
 
 class Method(str, Enum):
     AGGREGATE = "aggregate"
-    GIGA = "giga"
     BEST_RESPONSE_ITERATION = "best_response_iteration"
 
     @classmethod
@@ -55,7 +53,7 @@ class Method(str, Enum):
             return cls(str(text))
         except ValueError:
             raise DomainError(
-                f"unknown method {text!r}; expected 'aggregate', 'giga' or "
+                f"unknown method {text!r}; expected 'aggregate' or "
                 "'best_response_iteration'"
             ) from None
 
@@ -66,24 +64,18 @@ class SolverConfig:
 
     ``tolerance`` is a bound on the certified best-response gap, not on bid
     movement.  ``max_iterations`` caps the outer iterations: trial totals
-    for the aggregate method, steps for the gradient method, sweeps for
-    best-response iteration.
+    for the aggregate method, sweeps for best-response iteration.
 
-    ``bid_floor``, ``initial_bids`` and ``certify_every`` belong to the two
-    iterative methods; the aggregate method has no start point and no
-    floor, so it rejects ``initial_bids`` and ignores the other two.
-    ``certify_every`` spaces out certificate evaluations for the gradient
-    method (they cost about as much as a thousand plain steps); the sweep
-    method certifies after every sweep since a sweep already costs as much
-    as a certificate.  ``initial_bids`` defaults to all ones, clamped into
-    [bid_floor, v_i].
+    ``bid_floor`` and ``initial_bids`` belong to best-response iteration;
+    the aggregate method has no start point and no floor, so it rejects
+    ``initial_bids`` and ignores ``bid_floor``.  ``initial_bids`` defaults
+    to all ones, clamped into [bid_floor, v_i].
     """
 
     bid_floor: float = 1e-9
     tolerance: float = 1e-8
     max_iterations: int = 10_000_000
     method: Method = Method.AGGREGATE
-    certify_every: int = 1000
     initial_bids: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -94,10 +86,9 @@ class SolverConfig:
             raise DomainError(f"bid_floor must be finite and > 0, got {self.bid_floor!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
-        for name in ("max_iterations", "certify_every"):
-            k = getattr(self, name)
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise DomainError(f"{name} must be a positive integer, got {k!r}")
+        k = self.max_iterations
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise DomainError(f"max_iterations must be a positive integer, got {k!r}")
         if self.initial_bids is not None:
             bids = tuple(float(b) for b in self.initial_bids)
             for b in bids:
@@ -106,8 +97,8 @@ class SolverConfig:
             object.__setattr__(self, "initial_bids", bids)
             if self.method is Method.AGGREGATE:
                 raise DomainError(
-                    "initial_bids needs an iterative method ('giga' or "
-                    "'best_response_iteration'); the aggregate method has no "
+                    "initial_bids needs the iterative method "
+                    "'best_response_iteration'; the aggregate method has no "
                     "start point"
                 )
 
@@ -117,7 +108,6 @@ class SolverConfig:
             "tolerance": self.tolerance,
             "max_iterations": self.max_iterations,
             "method": self.method.value,
-            "certify_every": self.certify_every,
             "initial_bids": None
             if self.initial_bids is None
             else list(self.initial_bids),
@@ -130,8 +120,8 @@ class EquilibriumResult:
 
     ``epsilon`` is the certificate of exactly ``bids``: the best-response
     gap computed on that point, never an estimate from the trajectory, and
-    ``converged`` is exactly ``epsilon <= tolerance``.  For the iterative
-    methods ``average_bids`` is the running mean of the iterates and
+    ``converged`` is exactly ``epsilon <= tolerance``.  For best-response
+    iteration ``average_bids`` is the running mean of the iterates and
     ``bids`` is whichever certified point (an iterate or that mean)
     achieved the smallest gap.  The aggregate method has no trajectory: its
     ``average_bids`` equal ``bids``, and ``iterations`` counts the trial
@@ -203,7 +193,11 @@ def _gain(game: _Game, i: int, b_old: float, b_new: float, sig_minus: float) -> 
     sn = sig_minus + w_new
     v = game.values[i]
     db = b_new - b_old
-    dw = w_new - w_old
+    if 0.0 < abs(db) <= 2.0**-20 * max(b_old, b_new):
+        # w_new - w_old would be mostly rounding noise at this step size
+        dw = game.wd(b_old + 0.5 * db) * db
+    else:
+        dw = w_new - w_old
     if game.all_pay:
         return v * sig_minus * dw / (sn * so) - db
     return (sig_minus * ((v - b_old) * dw - w_new * db) - w_old * w_new * db) / (sn * so)
@@ -239,26 +233,40 @@ def _golden_bracket(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _polish(grad, lo: float, hi: float) -> float:
-    """Bisect on the gradient sign inside a bracket that contains the maximum.
+def _polish(grad, lo: float, hi: float, top: float) -> float:
+    """Root of the decreasing gradient near a golden-section bracket.
 
-    The weight derivative can diverge at 0, so a zero left endpoint is probed
-    at the smallest positive scale instead.
+    Where the utility is flat to within rounding, golden section can leave
+    its bracket [lo, hi] beside the maximum, so the bracket first widens
+    outward by steps of its width, doubling each time, until the gradient
+    changes sign or the bracket reaches 0 or ``top``; regula falsi then
+    closes it.  The weight derivative can diverge at 0, so a zero left end
+    is probed at the smallest positive scale instead.
     """
-    probe = lo if lo > 0.0 else min(1e-300, 0.5 * (lo + hi))
-    if probe >= hi or grad(probe) <= 0.0:
+    width = hi - lo
+    probe = lo if lo > 0.0 else min(1e-300, 0.5 * hi)
+    if probe >= hi:
         return lo
-    if grad(hi) >= 0.0:
-        return hi
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if grad(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    g_lo = grad(probe)
+    if g_lo <= 0.0:
+        while g_lo < 0.0 and lo > 0.0:
+            hi, g_hi = lo, g_lo
+            lo = max(0.0, lo - width)
+            width *= 2.0
+            probe = lo if lo > 0.0 else min(1e-300, 0.5 * hi)
+            g_lo = grad(probe)
+        if g_lo <= 0.0:
+            return lo
+    else:
+        g_hi = grad(hi)
+        while g_hi > 0.0 and hi < top:
+            probe, g_lo = hi, g_hi
+            hi = min(top, hi + width)
+            width *= 2.0
+            g_hi = grad(hi)
+        if g_hi >= 0.0:
+            return hi
+    return _falsi(grad, probe, hi, g_lo, g_hi, 200)
 
 
 def _best_response_scalar(game: _Game, i: int, sig_minus: float, tol: float) -> float:
@@ -269,7 +277,7 @@ def _best_response_scalar(game: _Game, i: int, sig_minus: float, tol: float) -> 
     lo, hi = _golden_bracket(
         lambda b: _utility_masked(game, i, b, sig_minus), 0.0, v, width
     )
-    return _polish(lambda b: _gradient_masked(game, i, b, sig_minus), lo, hi)
+    return _polish(lambda b: _gradient_masked(game, i, b, sig_minus), lo, hi, v)
 
 
 def _gap_scalar(game: _Game, bids: Sequence[float], tol: float) -> float:
@@ -309,9 +317,10 @@ def best_response(
     exactly as the certificate computes it, so this is the response that
     :func:`best_response_gap` measures against.  Uses the exact winners-pay
     proportional formula when it applies; otherwise golden-section search
-    (leftmost on ties) down to an interval of width ``tol``, then gradient
-    bisection inside that interval, so the returned point is accurate to
-    roughly float precision regardless of ``tol``.
+    (leftmost on ties) down to an interval of width ``tol``, widened until
+    the gradient changes sign across it, then regula falsi on the gradient,
+    so the returned point is accurate to roughly float precision regardless
+    of ``tol``.
     """
     if not (0 <= i < instance.n):
         raise DomainError(f"bidder index {i} out of range for n={instance.n}")
@@ -413,61 +422,6 @@ def _finish(
     )
 
 
-def giga_solve(
-    instance: AuctionInstance, config: SolverConfig | None = None
-) -> EquilibriumResult:
-    """Simultaneous projected gradient ascent, step 1/sqrt(t).
-
-    Every bidder moves at once along their own utility gradient, then is
-    projected into [bid_floor, v_i].  Both the iterate and its running
-    average are certified every ``certify_every`` steps; the run stops as
-    soon as either is within tolerance.  Exhausting ``max_iterations``
-    returns the best certified point with ``converged=False`` rather than
-    raising.
-    """
-    config = config or SolverConfig()
-    game = _Game(instance)
-    values = game.values
-    wf, wd = game.wf, game.wd
-    all_pay = game.all_pay
-    floor = config.bid_floor
-    n = instance.n
-    b = _initial_bids(instance, config)
-    avg = [0.0] * n
-    tracker = _Tracker(game)
-    iterations = 0
-    for t in range(1, config.max_iterations + 1):
-        w = [wf(x) for x in b]
-        sigma = 0.0
-        for x in w:
-            sigma += x
-        sigsq = sigma * sigma
-        step = 1.0 / math.sqrt(t)
-        for i in range(n):
-            bi = b[i]
-            wi = w[i]
-            sm = sigma - wi
-            if all_pay:
-                g = values[i] * wd(bi) * sm / sigsq - 1.0
-            else:
-                g = (wd(bi) * (values[i] - bi) * sm - wi * sigma) / sigsq
-            y = bi + step * g
-            vi = values[i]
-            if y < floor:
-                y = floor
-            elif y > vi:
-                y = vi
-            b[i] = y
-        inv_t = 1.0 / t
-        for i in range(n):
-            avg[i] += (b[i] - avg[i]) * inv_t
-        iterations = t
-        if t % config.certify_every == 0 or t == config.max_iterations:
-            if tracker.certify(b, avg) <= config.tolerance:
-                break
-    return _finish(instance, config, tracker, avg, iterations, Method.GIGA)
-
-
 _ETA_MIN = 2.0**-12
 
 
@@ -494,7 +448,7 @@ def best_response_iteration(
     Blocks lengthen as eta shrinks so that a stable eta always gets enough
     sweeps to prove itself.  A sweep costs about as much as a certificate,
     so the iterate and, where it differs, the running average are certified
-    after every sweep regardless of ``certify_every``.
+    after every sweep.
 
     Full steps clamp at the bid floor; that keeps a transient where every
     best response hits zero at once from zeroing the whole profile.  Damped
@@ -729,33 +683,4 @@ def solve(
     config = config or SolverConfig()
     if config.method is Method.AGGREGATE:
         return aggregate_solve(instance, config)
-    if config.method is Method.GIGA:
-        return giga_solve(instance, config)
     return best_response_iteration(instance, config)
-
-
-def iteration_budget(
-    n: int, values: Iterable[float], epsilon: float, cap: int | None = None
-) -> int:
-    """Pessimistic step count for the gradient method at gap target epsilon.
-
-    ceil((n * sum(values) / min(values) / epsilon)**2), optionally capped.
-    The square reflects the 1/sqrt(t) error decay; the constant factor is 1
-    by calibration, so treat this as a scale, not a guarantee.
-    """
-    vals = [float(v) for v in values]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if len(vals) != n:
-        raise DomainError(f"expected {n} values, got {len(vals)}")
-    for v in vals:
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"values must be finite and > 0, got {v!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    t = math.ceil((n * math.fsum(vals) / min(vals) / epsilon) ** 2)
-    if cap is not None:
-        if not isinstance(cap, int) or cap < 1:
-            raise DomainError(f"cap must be a positive integer, got {cap!r}")
-        t = min(t, cap)
-    return t

@@ -14,7 +14,7 @@ recording the measured story, and flips loudly if behavior ever changes.
   still 17.3 (gamma=1) against a limit of 0.5.
 * revenue-orderings: at alpha=100 the flattest weight has not crossed over
   yet (power:0.25 yields 4.76 < power:0.5 at 6.40); the claimed ordering
-  emerges near alpha = 800. The n-monotonicity clause does hold at 100.
+  emerges near alpha = 776. The n-monotonicity clause does hold at 100.
 """
 
 import pytest

@@ -91,6 +91,17 @@ def test_solve_initial_bids_need_an_iterative_method(capsys):
     assert "converged     yes" in out
 
 
+def test_solve_rejects_the_removed_gradient_method(capsys):
+    argv = ("solve", "all_pay", "power:1", "--values", "4,1")
+    code, out, err = run(capsys, *argv, "--method", "giga")
+    assert code == 1
+    assert out == ""
+    assert "giga" in err
+    code, out, err = run(capsys, *argv, "--certify-every", "100")
+    assert code == 1
+    assert "certify-every" in err
+
+
 def test_solve_out_of_range_values_exit_one(capsys):
     argv = ("solve", "all_pay", "power:1", "--values", "1e-200,1e-200")
     code, out, err = run(capsys, *argv)
@@ -220,6 +231,27 @@ def test_sweep_spec_file(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--spec", str(spec), "--output", "-")
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+def test_sweep_spec_file_rejects_unknown_solver_keys(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "rule": "all_pay",
+                "weights": ["power:1"],
+                "alpha_start": 1,
+                "alpha_stop": 4,
+                "alpha_points": 2,
+                "solver": {"certify_every": 1000},
+            }
+        )
+    )
+    code, out, err = run(capsys, "sweep", "--spec", str(spec), "--output", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "certify_every" in err
 
 
 def test_sweep_spec_file_excludes_inline_flags(tmp_path, capsys):
