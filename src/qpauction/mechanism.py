@@ -178,16 +178,29 @@ class _WeightTotal:
     ``fsum(partials + [-w[i]])`` is bit for bit ``fsum`` over every weight
     but ``w[i]``.  A total past ``_EXACT_LIMIT`` could overflow, so then the
     others are summed directly, as fsum would.
+
+    The expansion is built from the top: each ``fsum`` rounds what the terms
+    found so far leave of the exact total, so each new term lies below the
+    ulp of the last.  A few ``fsum`` passes over ``w`` cost far less than
+    growing the expansion one weight at a time in Python.
     """
 
     __slots__ = ("w", "partials")
 
     def __init__(self, w: list[float]) -> None:
         self.w = w
-        partials: list[float] = []
-        for x in w:
-            _grow(partials, x)
-        self.partials = partials if abs(partials[-1]) < _EXACT_LIMIT else None
+        try:
+            top = math.fsum(w)
+        except OverflowError:
+            top = math.inf
+        if not abs(top) < _EXACT_LIMIT:
+            self.partials = None
+            return
+        taken: list[float] = []  # the terms so far, negated
+        while top:
+            taken.append(-top)
+            top = math.fsum(w + taken)
+        self.partials = [-x for x in reversed(taken)] or [0.0]
 
     def others(self, i: int) -> float:
         """The correctly rounded sum of every weight but ``w[i]``."""

@@ -25,6 +25,19 @@ correctly rounded sum of everyone else's weight, the same float that
 ``math.fsum`` over the others gives.  Subtracting from a rounded total
 instead would cancel catastrophically when one bidder carries nearly all
 the weight.
+
+The certificate visits one lane per distinct (value, bid) pair.  From
+``_LOCKSTEP_MIN_LANES`` lanes up, where numpy's fixed cost per operation
+has paid off for every weight family, it solves all lanes at once
+(:mod:`.lockstep`); below, it loops over them (``_gap_scalar``).  The two
+are bit for bit the same: the lockstep repeats each scalar operation on
+arrays, with weights from ``WeightSpec.lane_functions``, which equal the
+scalar closures in every bit.  Python raises on a zero denominator where
+numpy only sets a flag, so the lockstep raises on any flag and the scalar
+loop then runs, raising its own error first in lane order.  Certificates
+of winners-pay ``power:1``, whose responses have a closed form, always
+take the loop; best-response sweeps and the public ``best_response`` stay
+scalar.
 """
 
 from __future__ import annotations
@@ -157,11 +170,12 @@ class EquilibriumResult:
 class _Game:
     """Plain-float view of an instance for the hot loops."""
 
-    __slots__ = ("values", "wf", "wd", "all_pay", "linear_wp")
+    __slots__ = ("values", "wf", "wd", "lane_wf", "lane_wd", "all_pay", "linear_wp")
 
     def __init__(self, instance: AuctionInstance) -> None:
         self.values = list(instance.values.values)
         self.wf, self.wd = instance.weight.scalar_functions()
+        self.lane_wf, self.lane_wd = instance.weight.lane_functions()
         self.all_pay = instance.rule is PaymentRule.ALL_PAY
         self.linear_wp = not self.all_pay and instance.weight == WeightSpec.power(1.0)
 
@@ -301,6 +315,35 @@ def _gap_scalar(game: _Game, bids: Sequence[float], tol: float) -> float:
     return gap
 
 
+# Below this many lanes numpy's fixed cost per operation (about 2 ms a
+# certificate) outweighs the per-lane Python work that the lockstep saves.
+# Measured, it breaks even near 80 lanes under power weights and near 128
+# under log1p and loglog, whose weights still call math.log1p per element.
+_LOCKSTEP_MIN_LANES = 128
+
+
+def _gap(game: _Game, bids: Sequence[float], tol: float) -> float:
+    """The best-response gap: lockstep on many lanes, the scalar loop on few.
+
+    Both give the same float.  Where the lockstep raises (a zero
+    denominator, an overflow, a degenerate profile) the scalar loop runs
+    instead, so the caller sees the error it raises first in lane order.
+    Winners-pay ``power:1`` has a closed-form response, so its lanes always
+    take the loop.
+    """
+    if len(bids) >= _LOCKSTEP_MIN_LANES and not game.linear_wp:
+        # imported here: without cached bytecode an import compiles the
+        # module, a cost that callers who never certify a crowd need not pay
+        from . import lockstep
+
+        if lockstep.lane_starts(game.values, bids).size >= _LOCKSTEP_MIN_LANES:
+            try:
+                return lockstep.gap(game, bids, tol)
+            except (ArithmeticError, ValueError):
+                pass
+    return _gap_scalar(game, bids, tol)
+
+
 _ORACLE_TOL = 1e-8
 
 
@@ -347,7 +390,7 @@ def best_response_gap(
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     seq = mechanism._bids_array(instance, bids).tolist()
-    return _gap_scalar(_Game(instance), seq, tol)
+    return _gap(_Game(instance), seq, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +421,7 @@ class _Tracker:
         self.point: list[float] | None = None
 
     def _certify(self, point: list[float]) -> float:
-        gap = _gap_scalar(self.game, point, _ORACLE_TOL)
+        gap = _gap(self.game, point, _ORACLE_TOL)
         if gap < self.gap:
             self.gap = gap
             self.point = list(point)
@@ -408,7 +451,7 @@ def _finish(
         point, epsilon = tracker.point, tracker.gap
     else:
         point = list(avg)
-        epsilon = _gap_scalar(tracker.game, point, _ORACLE_TOL)
+        epsilon = _gap(tracker.game, point, _ORACLE_TOL)
     bids = BidVector(tuple(point))
     return EquilibriumResult(
         bids=bids,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpauction import mechanism
+from qpauction import lockstep, mechanism
 from qpauction.analytic import (
     allpay_two_bidder_power,
     uniform_equilibrium,
@@ -30,6 +30,8 @@ from qpauction.solver import (
     _best_response_scalar,
     _Game,
     _gain,
+    _gap_scalar,
+    _LOCKSTEP_MIN_LANES,
     _WeightTotal,
     aggregate_solve,
     best_response,
@@ -352,6 +354,152 @@ def test_public_best_response_is_the_certificate_oracle(weight):
                 assert br == _best_response_scalar(game, i, sig_minus, 1e-8)
                 gains.append(_gain(game, i, bids[i], br, sig_minus))
             assert best_response_gap(inst, bids) == max(gains)
+
+
+# ---------------------------------------------------------------------------
+# lockstep certificate: the scalar loop is the reference, compared with ==
+
+# Every game but winners-pay power:1, whose closed-form responses always take
+# the scalar loop.
+LANE_WEIGHTS = ("power:1", "power:0.5", "power:0.25", "log1p", "loglog", "power:0.1", "power:0.9")
+LOCKSTEP_GAMES = [
+    (rule, weight)
+    for rule in ("all_pay", "winners_pay")
+    for weight in LANE_WEIGHTS
+    if (rule, weight) != ("winners_pay", "power:1")
+]
+
+
+def lockstep_profiles(rng, rule, weight):
+    """Sorted values and bids with 2 to 300 lanes and value ratios up to 1e9.
+
+    Runs of tied values get unequal bids; some bids are zero and some equal
+    the value.  The two top bids stay positive, so every lane faces a
+    positive opposing weight.  The last profile jitters an equilibrium of
+    one high bidder and many low ones by relative steps of 1e-12 to 3e-6,
+    so some responses take steps below 2**-20 of the bid, and the high
+    bidder's utility is flat to within rounding near its maximum.
+    """
+    yield from random_profiles(rng)
+    values = (10.0 ** rng.uniform(3.0, 6.0),) + (1.0,) * 139
+    bids = aggregate_solve(AuctionInstance.make(rule, values, weight)).bids.bids
+    steps = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, -5.5) for _ in bids]
+    yield values, [b * (1.0 + step) for b, step in zip(bids, steps)]
+
+
+def random_profiles(rng):
+    for n in (2, 3, 9, 60, 300):
+        ratio = 10.0 ** rng.uniform(0.0, 9.0)
+        scale = 10.0 ** rng.uniform(-3.0, 0.0)
+        values = [scale * ratio ** rng.random() for _ in range(n)]
+        if n > 3:
+            k = rng.randrange(2, n // 2 + 1)
+            start = rng.randrange(0, n - k + 1)
+            values[start : start + k] = [values[start]] * k
+        values.sort(reverse=True)
+        bids = []
+        for j, v in enumerate(values):
+            r = rng.random()
+            if r < 0.05 and j >= 2:
+                bids.append(0.0)
+            elif r < 0.1:
+                bids.append(v)
+            elif r < 0.3 and bids and values[j - 1] == v:
+                bids.append(bids[-1])  # an equal (value, bid) pair shares its lane
+            else:
+                bids.append(v * rng.uniform(0.01, 0.6))
+        yield values, bids
+
+
+@pytest.mark.parametrize("rule, weight", LOCKSTEP_GAMES)
+def test_lockstep_certificate_is_bit_identical_to_the_scalar_loop(rule, weight):
+    rng = random.Random(f"{rule}/{weight}")
+    for values, bids in lockstep_profiles(rng, rule, weight):
+        tol = rng.choice((1e-8, 1e-11))
+        game = _Game(AuctionInstance.make(rule, values, weight))
+        lanes = lockstep.lane_starts(values, bids).tolist()
+        total = _WeightTotal([game.wf(b) for b in bids])
+        sig_minus = [total.others(i) for i in lanes]
+        # the scalar loop, keeping its responses: the gain is flat in the
+        # response at its maximum, so a response off by an ulp seldom moves
+        # the gap, and the responses are compared as well
+        responses = [_best_response_scalar(game, i, s, tol) for i, s in zip(lanes, sig_minus)]
+        gap = 0.0
+        for i, s, br in zip(lanes, sig_minus, responses):
+            gap = max(gap, _gain(game, i, bids[i], br, s))
+        lane_responses = lockstep.best_responses(
+            game, np.array([values[i] for i in lanes]), np.array(sig_minus), tol
+        )
+        assert lane_responses.tolist() == responses, (len(values), values[0], tol)
+        assert lockstep.gap(game, bids, tol) == gap
+
+
+def bench_crowd_cases(seed):
+    """The benchmark's crowd certificates, rebuilt: n in (50, 400, 1600), a
+    tied profile (100 and n-1 ones) and a log-uniform one in [1, 100], three
+    games, bids a seeded fraction in [0.05, 0.5] of each value."""
+    rng = np.random.default_rng(seed)
+    games = (("all_pay", "power:0.5"), ("winners_pay", "power:0.5"), ("winners_pay", "power:1"))
+    for n in (50, 400, 1600):
+        tied = (100.0,) + (1.0,) * (n - 1)
+        distinct = tuple(float(x) for x in 100.0 ** rng.random(n))
+        for values in (tied, distinct):
+            levels = sorted(set(values))
+            frac = dict(zip(levels, rng.uniform(0.05, 0.5, len(levels))))
+            bids = [frac[v] * v for v in values]
+            for rule, weight in games:
+                yield AuctionInstance.make(rule, values, weight), bids
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_lockstep_certificate_matches_on_the_benchmark_crowds(seed):
+    for inst, bids in bench_crowd_cases(seed):
+        game = _Game(inst)
+        expected = _gap_scalar(game, bids, 1e-8)
+        if game.linear_wp:
+            assert best_response_gap(inst, bids) == expected
+        else:
+            assert lockstep.gap(game, bids, 1e-8) == expected, (inst.n, inst.rule)
+
+
+def error_type(fn):
+    try:
+        fn()
+    except Exception as exc:  # the type is the result under test
+        return type(exc)
+    return None
+
+
+# the games whose certificate the sigma**2 underflow reaches near 1e-200
+UNDERFLOW_WEIGHTS = ("power:1", "power:0.9", "log1p", "loglog")
+UNDERFLOW_GAMES = [game for game in LOCKSTEP_GAMES if game[1] in UNDERFLOW_WEIGHTS]
+
+
+@pytest.mark.parametrize("rule, weight", UNDERFLOW_GAMES)
+def test_lockstep_raises_what_the_scalar_loop_raises(rule, weight):
+    # sigma * sigma underflows to zero near 1e-200, where the scalar loop
+    # divides by it and raises; numpy only flags it, so the certificate
+    # falls back to the scalar loop, which raises its first error in lane order
+    rng = random.Random(3)
+    n = _LOCKSTEP_MIN_LANES + 7
+    values = [1e-200 * (1.0 + 9.0 * rng.random()) for _ in range(n)]
+    inst = AuctionInstance.make(rule, values, weight)
+    bids = [v * rng.uniform(0.05, 0.5) for v in inst.values.values]
+    game = _Game(inst)
+    expected = error_type(lambda: _gap_scalar(game, bids, 1e-8))
+    assert expected is ZeroDivisionError
+    assert error_type(lambda: lockstep.gap(game, bids, 1e-8)) is FloatingPointError
+    assert error_type(lambda: best_response_gap(inst, bids)) is expected
+
+
+def test_lockstep_falls_back_on_a_zero_opposing_weight():
+    n = _LOCKSTEP_MIN_LANES + 1
+    inst = AuctionInstance.make("all_pay", [float(n - j) for j in range(n)], "power:0.5")
+    bids = [1.0] + [0.0] * (n - 1)
+    with pytest.raises(DegenerateProfileError):
+        lockstep.gap(_Game(inst), bids, 1e-8)
+    with pytest.raises(DegenerateProfileError):
+        best_response_gap(inst, bids)
 
 
 # ---------------------------------------------------------------------------

@@ -157,3 +157,27 @@ def test_specs_are_hashable_and_comparable():
     assert WeightSpec.power(0.5) == WeightSpec.parse("power:0.5")
     assert len({WeightSpec.power(0.5), WeightSpec.parse("power:0.5")}) == 1
     assert WeightSpec.log1p() != WeightSpec.loglog()
+
+
+@pytest.mark.parametrize(
+    "tag", ["power:1", "power:0.5", "power:0.25", "power:0.1", "power:0.9", "log1p", "loglog"]
+)
+def test_lane_functions_are_the_scalar_functions_bit_for_bit(tag):
+    # numpy's own power and log1p loops differ from x ** g and math.log1p in
+    # the last bit on some inputs, which would break the lockstep certificate.
+    spec = WeightSpec.parse(tag)
+    wf, wd = spec.scalar_functions()
+    lane_wf, lane_wd = spec.lane_functions()
+    rng = np.random.default_rng(2024)
+    x = np.concatenate(
+        [[5e-324, 1e-300, 1e-16, 1.0, 1e9], 10.0 ** rng.uniform(-300.0, 9.0, 100_000)]
+    )
+    xs = x.tolist()
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    assert np.array_equal(bits(lane_wf(x)), bits([wf(t) for t in xs]))
+    assert np.array_equal(bits(lane_wd(x)), bits([wd(t) for t in xs]))
+    zero = np.zeros(3)
+    assert np.array_equal(bits(lane_wf(zero)), bits([wf(0.0)] * 3))
