@@ -4,6 +4,11 @@ Each criterion solves instances from scratch and checks them against
 closed forms, bounds, or cross-validation between independent code paths.
 Criteria accumulate failure messages instead of raising, so one run
 reports everything that is wrong; notes record measured values.
+
+Every criterion solves with the default aggregate solver except three:
+``closed-form`` checks both solvers, ``uniqueness`` runs best-response
+iteration from random starts, and ``agreement`` cross-checks the aggregate
+solver against best-response iteration.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ def _criterion_sqrt_alpha(check: _Check) -> None:
     for k in range(7):
         alpha = 10.0**k
         inst = AuctionInstance.make("winners_pay", (alpha, 1.0), "power:1")
-        res = _bri(inst, 1e-10)
+        res = aggregate_solve(inst, SolverConfig(tolerance=1e-10))
         tag = f"alpha=1e{k}"
         check.that(res.converged, f"{tag}: not converged")
         high, low = res.bids.bids
@@ -135,7 +140,7 @@ def _criterion_scaling_exponent(check: _Check) -> None:
     for half in range(7):
         alpha = 10.0 ** (3.0 + 0.5 * half)
         inst = AuctionInstance.make("winners_pay", (alpha, 1.0), "power:0.5")
-        res = _bri(inst, 1e-10)
+        res = aggregate_solve(inst, SolverConfig(tolerance=1e-10))
         check.that(res.converged, f"alpha={alpha:.3g}: not converged")
         logs_a.append(math.log(alpha))
         logs_r.append(math.log(res.revenue))
@@ -157,9 +162,9 @@ def _criterion_uniform_allpay(check: _Check) -> None:
         inst = AuctionInstance.make("all_pay", (value,) * n, f"power:{gamma:g}")
         # Near a flat symmetric equilibrium the certificate is quadratically
         # weak (bid error ~ sqrt(eps/curvature)), so hitting 1e-6 relative on
-        # the bids needs eps far below it.  The sweep oracle bottoms out near
-        # machine precision here, so 1e-16 is reachable.
-        res = _bri(inst, 1e-16)
+        # the bids needs eps far below it.  The aggregate solver certifies
+        # gaps of at most about 2e-31 on this grid, so 1e-16 is reachable.
+        res = aggregate_solve(inst, SolverConfig(tolerance=1e-16))
         tag = f"n={n} gamma={gamma:g} V={value:g}"
         check.that(res.converged, f"all-pay {tag}: not converged")
         for b in res.bids.bids:
@@ -190,7 +195,7 @@ def _criterion_uniform_winnerspay(check: _Check) -> None:
         inst = AuctionInstance.make("winners_pay", (value,) * n, f"power:{gamma:g}")
         # Same flat-curvature consideration as the all-pay grid: the bid
         # tolerance drives the solve tolerance, not the other way around.
-        res = _bri(inst, 1e-16)
+        res = aggregate_solve(inst, SolverConfig(tolerance=1e-16))
         tag = f"n={n} gamma={gamma:g} V={value:g}"
         check.that(res.converged, f"winners-pay {tag}: not converged")
         for b in res.bids.bids:
@@ -204,7 +209,7 @@ def _criterion_many_bidders(check: _Check) -> None:
     def crowd_revenue(rule, gamma, n):
         values = (100.0,) + (1.0,) * (n - 1)
         inst = AuctionInstance.make(rule, values, f"power:{gamma:g}")
-        res = _bri(inst, 1e-10)
+        res = aggregate_solve(inst, SolverConfig(tolerance=1e-10))
         check.that(res.converged, f"{rule} gamma={gamma:g} n={n}: not converged")
         return res.revenue
 
@@ -241,7 +246,7 @@ def _criterion_log_weight(check: _Check) -> None:
         for k in range(2, 7):
             alpha = 10.0**k
             inst = AuctionInstance.make(rule, (alpha, 1.0), "log1p")
-            res = _bri(inst, 1e-9, max_iterations=20_000)
+            res = aggregate_solve(inst, SolverConfig(tolerance=1e-9))
             tag = f"{rule} alpha=1e{k}"
             check.that(res.converged, f"{tag}: not converged")
             ratio = res.bids.bids[0] * math.log(alpha) ** 2 / alpha
@@ -260,7 +265,7 @@ def _criterion_revenue_orderings(check: _Check) -> None:
     revs = {}
     for tag in ("power:0.25", "power:0.5", "power:1"):
         inst = AuctionInstance.make("winners_pay", (100.0, 1.0), tag)
-        res = _bri(inst, 1e-12, max_iterations=8000)
+        res = aggregate_solve(inst, SolverConfig(tolerance=1e-12))
         check.that(res.converged, f"{tag}: not converged")
         revs[tag] = res.revenue
     check.note(
@@ -283,7 +288,7 @@ def _criterion_revenue_orderings(check: _Check) -> None:
             inst = AuctionInstance.make(
                 "winners_pay", (100.0,) + (1.0,) * (n - 1), tag
             )
-            res = _bri(inst, 1e-12, max_iterations=8000)
+            res = aggregate_solve(inst, SolverConfig(tolerance=1e-12))
             check.that(res.converged, f"{tag} n={n}: not converged")
             seq.append(res.revenue)
         for n, (a, b) in enumerate(zip(seq, seq[1:]), start=2):

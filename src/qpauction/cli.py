@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -20,8 +19,6 @@ from .errors import DegenerateProfileError, DomainError
 from .harness import SweepSpec, format_csv, run_sweep, write_csv
 from .mechanism import AuctionInstance
 from .solver import Method, SolverConfig, best_response, best_response_gap, solve
-
-WORKERS_ENV = "QPAUCTION_WORKERS"
 
 
 class _UsageError(Exception):
@@ -59,13 +56,11 @@ def _build_parser() -> _Parser:
         "--method",
         choices=[m.value for m in Method],
         default=None,
-        help="solver (default: aggregate)",
+        help="solver (default: aggregate; best_response_iteration is the "
+        "cross-check reference)",
     )
     ps.add_argument("--tolerance", type=float, default=None, help="target certified gap")
     ps.add_argument("--max-iterations", type=int, default=None)
-    ps.add_argument(
-        "--bid-floor", type=float, default=None, help="iterative method only"
-    )
     ps.add_argument(
         "--initial-bids",
         default=None,
@@ -89,12 +84,6 @@ def _build_parser() -> _Parser:
     pw.add_argument("--low-value", type=float, default=None)
     pw.add_argument(
         "--output", required=True, help="CSV path, or - for standard output"
-    )
-    pw.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"parallel solves (default: ${WORKERS_ENV} or 1)",
     )
 
     pv = sub.add_parser("verify", help="run the acceptance verification suite")
@@ -121,8 +110,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         overrides["tolerance"] = args.tolerance
     if args.max_iterations is not None:
         overrides["max_iterations"] = args.max_iterations
-    if args.bid_floor is not None:
-        overrides["bid_floor"] = args.bid_floor
     if args.initial_bids is not None:
         overrides["initial_bids"] = tuple(_floats(args.initial_bids))
     return SolverConfig(**overrides)
@@ -144,25 +131,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ("iterations", str(result.iterations)),
         ("epsilon", _fmt(result.epsilon)),
         ("bids", ", ".join(_fmt(b) for b in result.bids.bids)),
-        ("average bids", ", ".join(_fmt(b) for b in result.average_bids.bids)),
         ("revenue", _fmt(result.revenue)),
         ("efficiency", _fmt(result.efficiency)),
     ]
     for key, value in rows:
         print(f"{key:<14}{value}")
     return 0
-
-
-def _workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        return args.workers
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
 
 
 def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
@@ -216,7 +190,7 @@ def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec(args)
-    rows = run_sweep(spec, workers=_workers(args))
+    rows = run_sweep(spec)
     if args.output == "-":
         sys.stdout.write(format_csv(rows))
     else:

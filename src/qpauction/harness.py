@@ -9,7 +9,6 @@ serialize to a stable CSV so that repeated runs diff cleanly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -215,34 +214,23 @@ class SweepRow:
         )
 
 
-def _solve_point(
-    task: tuple[PaymentRule, float, int, WeightSpec, tuple[float, ...], SolverConfig],
-) -> SweepRow:
-    rule, alpha, n, weight, values, config = task
-    instance = AuctionInstance.make(rule, values, weight)
-    result = solve(instance, config)
-    return SweepRow.from_result(alpha, n, rule, weight, result)
-
-
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
-    """Solve every grid point; row order follows ``spec.points()``.
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
+    """Solve every grid point in this process; rows follow ``spec.points()``.
 
     Unconverged points are kept and flagged, never dropped.  ``workers``
-    above 1 fans points out to a process pool; output order is unaffected.
+    is kept for callers that pass it and accepts only 1.
     """
+    if isinstance(workers, bool) or workers != 1:
+        raise DomainError(
+            f"workers must be 1, got {workers!r}; the sweep process pool was removed"
+        )
     config = spec.solver if spec.solver is not None else SolverConfig()
-    tasks = [
-        (spec.rule, alpha, n, weight, spec.values_for(alpha, n), config)
-        for alpha, n, weight in spec.points()
-    ]
-    if workers is None:
-        workers = 1
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise DomainError(f"workers must be a positive int, got {workers!r}")
-    if workers == 1 or len(tasks) <= 1:
-        return [_solve_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_solve_point, tasks))
+    rows = []
+    for alpha, n, weight in spec.points():
+        instance = AuctionInstance.make(spec.rule, spec.values_for(alpha, n), weight)
+        result = solve(instance, config)
+        rows.append(SweepRow.from_result(alpha, n, spec.rule, weight, result))
+    return rows
 
 
 def format_csv(rows: Iterable[SweepRow]) -> str:

@@ -79,24 +79,19 @@ class SolverConfig:
     movement.  ``max_iterations`` caps the outer iterations: trial totals
     for the aggregate method, sweeps for best-response iteration.
 
-    ``bid_floor`` and ``initial_bids`` belong to best-response iteration;
-    the aggregate method has no start point and no floor, so it rejects
-    ``initial_bids`` and ignores ``bid_floor``.  ``initial_bids`` defaults
-    to all ones, clamped into [bid_floor, v_i].
+    ``initial_bids`` belongs to best-response iteration, the cross-check
+    reference; the aggregate method has no start point and rejects it.  It
+    defaults to all ones, clamped into [``_BID_FLOOR``, v_i].
     """
 
-    bid_floor: float = 1e-9
     tolerance: float = 1e-8
     max_iterations: int = 10_000_000
     method: Method = Method.AGGREGATE
     initial_bids: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bid_floor", float(self.bid_floor))
         object.__setattr__(self, "tolerance", float(self.tolerance))
         object.__setattr__(self, "method", Method.parse(self.method))
-        if not (math.isfinite(self.bid_floor) and self.bid_floor > 0.0):
-            raise DomainError(f"bid_floor must be finite and > 0, got {self.bid_floor!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
         k = self.max_iterations
@@ -117,7 +112,6 @@ class SolverConfig:
 
     def to_dict(self) -> dict:
         return {
-            "bid_floor": self.bid_floor,
             "tolerance": self.tolerance,
             "max_iterations": self.max_iterations,
             "method": self.method.value,
@@ -133,16 +127,14 @@ class EquilibriumResult:
 
     ``epsilon`` is the certificate of exactly ``bids``: the best-response
     gap computed on that point, never an estimate from the trajectory, and
-    ``converged`` is exactly ``epsilon <= tolerance``.  For best-response
-    iteration ``average_bids`` is the running mean of the iterates and
-    ``bids`` is whichever certified point (an iterate or that mean)
-    achieved the smallest gap.  The aggregate method has no trajectory: its
-    ``average_bids`` equal ``bids``, and ``iterations`` counts the trial
-    totals it evaluated.
+    ``converged`` is exactly ``epsilon <= tolerance``.  ``iterations``
+    counts trial totals for the aggregate method and sweeps for
+    best-response iteration, whose ``bids`` are whichever certified point
+    (an iterate or the running mean of the iterates) achieved the smallest
+    gap.
     """
 
     bids: BidVector
-    average_bids: BidVector
     epsilon: float
     revenue: float
     efficiency: float
@@ -153,7 +145,6 @@ class EquilibriumResult:
     def to_dict(self) -> dict:
         return {
             "bids": list(self.bids.bids),
-            "average_bids": list(self.average_bids.bids),
             "epsilon": self.epsilon,
             "revenue": self.revenue,
             "efficiency": self.efficiency,
@@ -397,16 +388,23 @@ def best_response_gap(
 # solvers
 
 
+# Full best-response steps clamp here, see best_response_iteration.
+_BID_FLOOR = 1e-9
+
+
 def _initial_bids(instance: AuctionInstance, config: SolverConfig) -> list[float]:
-    if config.bid_floor >= min(instance.values.values):
-        raise DomainError("bid_floor must be below every valuation")
+    if _BID_FLOOR >= min(instance.values.values):
+        raise DomainError(
+            f"best-response iteration needs every valuation above its bid "
+            f"floor {_BID_FLOOR:g}"
+        )
     start = config.initial_bids
     if start is None:
         start = (1.0,) * instance.n
     if len(start) != instance.n:
         raise DomainError(f"expected {instance.n} initial bids, got {len(start)}")
     return [
-        min(max(b, config.bid_floor), v) for b, v in zip(start, instance.values.values)
+        min(max(b, _BID_FLOOR), v) for b, v in zip(start, instance.values.values)
     ]
 
 
@@ -439,23 +437,17 @@ class _Tracker:
         return gap
 
 
-def _finish(
+def _result(
     instance: AuctionInstance,
     config: SolverConfig,
-    tracker: _Tracker,
-    avg: list[float],
+    point: list[float],
+    epsilon: float,
     iterations: int,
     method: Method,
 ) -> EquilibriumResult:
-    if tracker.point is not None:
-        point, epsilon = tracker.point, tracker.gap
-    else:
-        point = list(avg)
-        epsilon = _gap(tracker.game, point, _ORACLE_TOL)
     bids = BidVector(tuple(point))
     return EquilibriumResult(
         bids=bids,
-        average_bids=BidVector(tuple(avg)),
         epsilon=epsilon,
         revenue=mechanism.revenue(instance, bids),
         efficiency=mechanism.efficiency(instance, bids),
@@ -479,6 +471,10 @@ def best_response_iteration(
 ) -> EquilibriumResult:
     """Damped cyclic best-response sweeps (one sweep = one iteration).
 
+    The independent reference for :func:`aggregate_solve`: ``verify`` uses
+    it for random starts (``uniqueness``) and as the cross-check
+    (``agreement``).
+
     Each sweep updates bidders in value order, moving each a fraction eta
     toward their best response against the current profile.  Full steps
     (eta = 1) converge in a handful of sweeps whenever the response map
@@ -490,20 +486,19 @@ def best_response_iteration(
     gap, eta halves and the iterate restarts from the best point seen.
     Blocks lengthen as eta shrinks so that a stable eta always gets enough
     sweeps to prove itself.  A sweep costs about as much as a certificate,
-    so the iterate and, where it differs, the running average are certified
-    after every sweep.
+    so the iterate and, where it differs, the running mean of the iterates
+    are certified after every sweep; the result is the best of them.
 
-    Full steps clamp at the bid floor; that keeps a transient where every
-    best response hits zero at once from zeroing the whole profile.  Damped
-    steps are allowed to glide below the floor, because some instances are
-    outbid so heavily that their only equilibrium bid is exactly zero and a
-    floored bid would leave a certified gap of about floor * (1 - v/sigma)
-    forever.  The damped update keeps bids strictly positive on its own; a
+    Full steps clamp at a fixed bid floor of 1e-9, so every valuation must
+    lie above it; that keeps a transient where every best response hits
+    zero at once from zeroing the whole profile.  Damped steps are allowed
+    to glide below the floor, because some instances are outbid so heavily
+    that their only equilibrium bid is exactly zero and a floored bid would
+    leave a certified gap of about floor * (1 - v/sigma) forever.  The damped update keeps bids strictly positive on its own; a
     denormal guard just keeps the weights well defined.
     """
     config = config or SolverConfig()
     game = _Game(instance)
-    floor = config.bid_floor
     n = instance.n
     b = _initial_bids(instance, config)
     avg = [0.0] * n
@@ -522,7 +517,7 @@ def best_response_iteration(
                 )
             br = _best_response_scalar(game, i, sig_minus, _ORACLE_TOL)
             if eta == 1.0:
-                moved, lo = br, floor
+                moved, lo = br, _BID_FLOOR
             else:
                 moved, lo = b[i] + eta * (br - b[i]), 1e-300
             b[i] = moved if moved >= lo else lo
@@ -540,8 +535,11 @@ def best_response_iteration(
                     b = list(tracker.point)
             prev_best = tracker.gap
             block_end = sweep + _block_sweeps(eta)
-    return _finish(
-        instance, config, tracker, avg, iterations, Method.BEST_RESPONSE_ITERATION
+    point, epsilon = tracker.point, tracker.gap
+    if point is None:  # no certificate came out finite
+        point, epsilon = avg, _gap(game, avg, _ORACLE_TOL)
+    return _result(
+        instance, config, point, epsilon, iterations, Method.BEST_RESPONSE_ITERATION
     )
 
 
@@ -714,9 +712,8 @@ def aggregate_solve(
     else:
         sigma = lo if abs(f_lo) <= abs(f_hi) else hi
     bids = [b for (_, k), b in zip(runs, stationary_bids(sigma)) for _ in range(k)]
-    tracker = _Tracker(game)
-    tracker.certify(bids, bids)
-    return _finish(instance, config, tracker, bids, evals, Method.AGGREGATE)
+    epsilon = _gap(game, bids, _ORACLE_TOL)
+    return _result(instance, config, bids, epsilon, evals, Method.AGGREGATE)
 
 
 def solve(

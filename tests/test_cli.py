@@ -1,10 +1,14 @@
 """Command line behavior: output shapes, exit codes, spec files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qpauction
 from qpauction import cli, mechanism
 from qpauction.harness import CSV_HEADER, read_csv
 
@@ -100,6 +104,10 @@ def test_solve_rejects_the_removed_gradient_method(capsys):
     code, out, err = run(capsys, *argv, "--certify-every", "100")
     assert code == 1
     assert "certify-every" in err
+    code, out, err = run(capsys, *argv, "--bid-floor", "1e-9")
+    assert code == 1
+    assert out == ""
+    assert "bid-floor" in err
 
 
 def test_solve_out_of_range_values_exit_one(capsys):
@@ -129,6 +137,28 @@ def test_unknown_flag_exits_one(capsys):
     )
     assert code == 1
     assert "nope" in err
+    # the sweep process pool and its flag are gone
+    code, out, err = run(
+        capsys,
+        "sweep",
+        "--rule",
+        "all_pay",
+        "--weights",
+        "power:1",
+        "--alpha-start",
+        "1",
+        "--alpha-stop",
+        "1",
+        "--alpha-points",
+        "1",
+        "--output",
+        "-",
+        "--workers",
+        "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert "workers" in err
 
 
 def test_no_command_prints_help(capsys):
@@ -234,24 +264,26 @@ def test_sweep_spec_file(tmp_path, capsys):
 
 
 def test_sweep_spec_file_rejects_unknown_solver_keys(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "rule": "all_pay",
-                "weights": ["power:1"],
-                "alpha_start": 1,
-                "alpha_stop": 4,
-                "alpha_points": 2,
-                "solver": {"certify_every": 1000},
-            }
+    # both keys name removed solver settings
+    for key, value in (("certify_every", 1000), ("bid_floor", 1e-9)):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "rule": "all_pay",
+                    "weights": ["power:1"],
+                    "alpha_start": 1,
+                    "alpha_stop": 4,
+                    "alpha_points": 2,
+                    "solver": {key: value},
+                }
+            )
         )
-    )
-    code, out, err = run(capsys, "sweep", "--spec", str(spec), "--output", "-")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "certify_every" in err
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert key in err
 
 
 def test_sweep_spec_file_excludes_inline_flags(tmp_path, capsys):
@@ -276,51 +308,6 @@ def test_sweep_unreadable_spec_file(capsys):
     assert "cannot read spec file" in err
 
 
-def test_sweep_workers_env_var(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    pooled = tmp_path / "pooled.csv"
-    argv = [
-        "sweep",
-        "--rule",
-        "winners_pay",
-        "--weights",
-        "power:1",
-        "--alpha-start",
-        "1",
-        "--alpha-stop",
-        "10",
-        "--alpha-points",
-        "2",
-    ]
-    assert cli.main(argv + ["--output", str(serial)]) == 0
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    assert cli.main(argv + ["--output", str(pooled)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == pooled.read_bytes()
-
-
-def test_sweep_rejects_garbage_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    code, _, err = run(
-        capsys,
-        "sweep",
-        "--rule",
-        "all_pay",
-        "--weights",
-        "power:1",
-        "--alpha-start",
-        "1",
-        "--alpha-stop",
-        "1",
-        "--alpha-points",
-        "1",
-        "--output",
-        "-",
-    )
-    assert code == 1
-    assert cli.WORKERS_ENV in err
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -331,6 +318,21 @@ def test_verify_single_criterion_passes(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("PASS  gradients")
     assert lines[-1].startswith("1 criteria: 1 passed, 0 failed")
+
+
+def test_python_dash_m_runs_the_cli_without_an_install():
+    src = str(Path(qpauction.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpauction", "verify", "--only", "scaling"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS  scaling-exponent")
 
 
 def test_verify_unknown_filter(capsys):

@@ -32,6 +32,7 @@ from qpauction.solver import (
     _gain,
     _gap_scalar,
     _LOCKSTEP_MIN_LANES,
+    _polish,
     _WeightTotal,
     aggregate_solve,
     best_response,
@@ -56,7 +57,6 @@ def ap_power_eq(alpha, gamma):
 
 def test_config_defaults():
     cfg = SolverConfig()
-    assert cfg.bid_floor == 1e-9
     assert cfg.tolerance == 1e-8
     assert cfg.max_iterations == 10_000_000
     assert cfg.method is Method.AGGREGATE
@@ -79,9 +79,9 @@ def test_config_normalizes_initial_bids():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"bid_floor": 0.0},
-        {"bid_floor": -1e-9},
-        {"bid_floor": math.nan},
+        {"tolerance": math.nan},
+        {"max_iterations": "5"},
+        {"initial_bids": (math.inf,)},
         {"tolerance": 0.0},
         {"tolerance": -1.0},
         {"tolerance": math.inf},
@@ -115,6 +115,12 @@ def test_gradient_method_is_gone():
         Method.parse("giga")
     with pytest.raises(TypeError):
         SolverConfig(certify_every=1000)
+    with pytest.raises(TypeError):
+        SolverConfig(bid_floor=1e-9)
+    assert "bid_floor" not in SolverConfig().to_dict()
+    inst = AuctionInstance.make("all_pay", (4.0, 1.0), "power:0.5")
+    for method in Method:
+        assert "average_bids" not in solve(inst, SolverConfig(method=method)).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +498,52 @@ def test_lockstep_raises_what_the_scalar_loop_raises(rule, weight):
     assert error_type(lambda: best_response_gap(inst, bids)) is expected
 
 
+def capped(grad, calls=300):
+    """``grad``, raising once called more than ``calls`` times, so that a
+    widening loop that never ends fails instead of hanging."""
+    count = 0
+
+    def wrapper(*args):
+        nonlocal count
+        count += 1
+        if count > calls:
+            raise RuntimeError(f"gradient called more than {calls} times")
+        return grad(*args)
+
+    return wrapper
+
+
+# (r, top) per lane: the gradient r - b has its root r below 0, above top,
+# or inside [0, top]
+POLISH_LANES = [(-1.0, 1.0), (2.0, 1.0), (0.7, 1.0), (0.05, 1.0), (6.5, 5.0), (-0.5, 5.0)]
+
+
+def test_polish_widens_to_zero_when_the_gradient_is_negative_everywhere():
+    # from [0.3, 0.45] the bracket steps left by 0.15, then by 0.3, past 0
+    b = _polish(capped(lambda x: -1.0 - x), 0.3, 0.45, 1.0)
+    assert b == 0.0 and math.copysign(1.0, b) == 1.0
+
+
+def test_polish_widens_to_top_when_the_gradient_is_positive_everywhere():
+    # from [0.3, 0.45] the bracket steps right by 0.15, 0.3 and 0.6, past 1
+    assert _polish(capped(lambda x: 2.0 - x), 0.3, 0.45, 1.0) == 1.0
+    assert _polish(capped(lambda x: 4.0 - x), 0.3, 0.45, 2.5) == 2.5
+
+
+def test_lockstep_polish_lanes_equal_the_scalar_polish():
+    roots = np.array([root for root, _ in POLISH_LANES])
+    top = np.array([t for _, t in POLISH_LANES])
+    lo, hi = np.full(roots.size, 0.3), np.full(roots.size, 0.45)
+    lanes = lockstep._polish(capped(lambda x, r: r - x), lo, hi, top, roots)
+    expected = [
+        _polish(capped(lambda x, r=root: r - x), 0.3, 0.45, t) for root, t in POLISH_LANES
+    ]
+    assert lanes.tolist() == expected
+    assert expected[0] == expected[-1] == 0.0
+    assert expected[1] == 1.0 and expected[4] == 5.0
+    assert expected[2] == pytest.approx(0.7) and expected[3] == pytest.approx(0.05)
+
+
 def test_lockstep_falls_back_on_a_zero_opposing_weight():
     n = _LOCKSTEP_MIN_LANES + 1
     inst = AuctionInstance.make("all_pay", [float(n - j) for j in range(n)], "power:0.5")
@@ -728,7 +780,6 @@ def test_aggregate_result_is_consistent_with_mechanism():
     inst = AuctionInstance.make("winners_pay", (4.0, 2.0, 1.0), "log1p")
     res = aggregate_solve(inst)
     assert res.method is Method.AGGREGATE
-    assert res.average_bids == res.bids
     assert res.epsilon == best_response_gap(inst, res.bids)
     assert res.revenue == mechanism.revenue(inst, res.bids)
     assert res.efficiency == mechanism.efficiency(inst, res.bids)
@@ -964,9 +1015,10 @@ def test_solve_default_config_converges():
 
 
 def test_floor_above_smallest_value_rejected():
-    inst = AuctionInstance.make("all_pay", (4.0, 0.5), "power:1")
-    with pytest.raises(DomainError):
-        best_response_iteration(inst, SolverConfig(bid_floor=0.5))
+    # best-response iteration clamps full steps at a fixed floor of 1e-9
+    inst = AuctionInstance.make("all_pay", (4.0, 1e-9), "power:1")
+    with pytest.raises(DomainError, match="floor"):
+        best_response_iteration(inst)
 
 
 def test_initial_bids_length_checked():
@@ -1003,7 +1055,6 @@ def test_result_to_dict_round_trip():
     assert d["method"] == "best_response_iteration"
     assert d["converged"] is True
     assert d["bids"] == list(res.bids.bids)
-    assert d["average_bids"] == list(res.average_bids.bids)
     assert d["epsilon"] == res.epsilon
     assert d["revenue"] == res.revenue
     assert isinstance(res, EquilibriumResult)
